@@ -64,7 +64,6 @@ from .positivity import (
     InternalInconsistencyError,
     PositivityWitness,
     PreconditionError,
-    SearchConfig,
     VariationMeasure,
     WeightedMeasure,
     detect_case1,

@@ -317,11 +317,11 @@ def cmd_reproduce_figure(args) -> int:
         f"negativity verdict: {'true' if cert.verdict else 'false'}",
     ]
     rows = []
-    for p in full.points:
-        if p.y > window:
+    for y, value, at_jump in zip(full.ys, full.values, full.at_jump):
+        if y > window:
             continue
-        value = p.value - correction if p.y >= first_brick else p.value
-        rows.append((_fmt(p.y), _fmt(value), p.kind))
+        value = value - correction if y >= first_brick else value
+        rows.append((_fmt(y), _fmt(value), "jump" if at_jump else "grid"))
     _write_csv(args.out, "y,J,flag", rows, metadata)
 
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out

@@ -30,7 +30,6 @@ from .funcspec import (
     Power,
     integrand_is_heuristic,
     integrand_range,
-    integrand_value,
     integrand_values,
 )
 from .stieltjes import curve
@@ -269,7 +268,7 @@ def partial_integral(f: IntegrandSpec, fam: OscillationFamily, beta: float,
         tail = float((ks.astype(float) ** (-beta)) @ rises)
     else:
         tail = 0.0
-    return float(n) ** (-beta) * integrand_value(f, fam.trough(n)) - tail
+    return float(n) ** (-beta) * f.evaluate(fam.trough(n)) - tail
 
 
 def tail_lower_bound(alpha: float, beta: float, gamma: float, n: int) -> float:
@@ -406,7 +405,7 @@ def build_counterexample(
         chosen = threshold
     g = build_bricks(fam, beta, truncation, interval=f.domain, first=chosen)
     params = CounterexampleParams(beta=beta, truncation=truncation, threshold=chosen)
-    cert = certify_negative(f, g, fam, params, f_sup=f_sup)
+    cert = _certify(f, g, fam, params, f_sup, records, remainder, report.ok)
     return g, params, cert
 
 
@@ -426,18 +425,22 @@ def certify_negative(
     corrected value at or above -slack makes the verdict false and is
     reported with its location.
     """
-    N = params.truncation
-    records, remainder = _index_records(f, fam, params.beta, N)
-    empirical = _empirical_threshold(records)
-    family_ok = validate_family(f, fam, N).ok
+    records, remainder = _index_records(f, fam, params.beta, params.truncation)
+    family_ok = validate_family(f, fam, params.truncation).ok
+    return _certify(f, g, fam, params, f_sup, records, remainder, family_ok)
 
-    b = g.interval.b
-    j = curve(f, g, [b])
-    failures = []
-    for point in j.points:
-        corrected = point.value - remainder
-        if not corrected < -slack(corrected, scale=SIGN_SLACK_SCALE):
-            failures.append((point.y, corrected))
+
+def _certify(f: IntegrandSpec, g: StepFunction, fam: OscillationFamily,
+             params: CounterexampleParams, f_sup: float | None,
+             records: tuple[IndexRecord, ...], remainder: float,
+             family_ok: bool) -> Certificate:
+    """certify_negative on index records and a family check already computed."""
+    N = params.truncation
+    j = curve(f, g, [g.interval.b])
+    corrected = j.values - remainder
+    # elementwise: not corrected < -slack(corrected, scale=SIGN_SLACK_SCALE)
+    failed = ~(corrected < -SIGN_SLACK_SCALE * (1.0 + np.abs(corrected)))
+    failures = tuple(zip(j.ys[failed].tolist(), corrected[failed].tolist()))
 
     f_sup_eff = _resolve_f_sup(f, f_sup)
     analytic = None
@@ -451,7 +454,7 @@ def certify_negative(
     verdict = family_ok and not failures and analytic_ok
     return Certificate(
         records=records,
-        empirical_threshold=empirical,
+        empirical_threshold=_empirical_threshold(records),
         certified_threshold=analytic,
         remainder_bound=remainder,
         truncation=N,
@@ -459,6 +462,6 @@ def certify_negative(
         family_ok=family_ok,
         analytic_ok=analytic_ok,
         truncation_note=_TRUNCATION_NOTE.format(N=N, rem=remainder),
-        step_failures=tuple(failures),
+        step_failures=failures,
         verdict=verdict,
     )

@@ -45,7 +45,6 @@ __all__ = [
     "PositivityReport",
     "RangeBounds",
     "integrand_interval",
-    "integrand_value",
     "integrand_values",
     "integrand_modulus",
     "integrand_is_heuristic",
@@ -585,10 +584,6 @@ def integrand_interval(f) -> Interval:
     raise TypeError(f"not an integrand: {type(f).__name__}")
 
 
-def integrand_value(f, x: float) -> float:
-    return f.evaluate(x)
-
-
 def integrand_values(f, xs) -> np.ndarray:
     return np.asarray(f.evaluate_array(np.asarray(xs, dtype=float)), dtype=float)
 
@@ -632,7 +627,7 @@ def integrand_range(f, c: float, d: float, grid_size: int = 513) -> RangeBounds:
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
     if c == d:
-        v = integrand_value(f, c)
+        v = f.evaluate(c)
         return RangeBounds(v, v, v, v, not integrand_is_heuristic(f))
     xs = np.linspace(c, d, grid_size)
     vals = integrand_values(f, xs)

@@ -27,8 +27,8 @@ from .bv_core import (
     jordan_decompose,
     slack,
 )
-from .funcspec import integrand_interval, integrand_range, integrand_value, pl_coverage
-from .stieltjes import _clipped_pieces, rs_bv, rs_jump_exact, rs_pl_integrator_exact
+from .funcspec import integrand_interval, integrand_range, pl_coverage
+from .stieltjes import IntegralCurve, _clipped_pieces, curve, rs_pl_integrator_exact
 
 __all__ = [
     "PreconditionError",
@@ -38,7 +38,6 @@ __all__ = [
     "WeightedMeasure",
     "PositivityWitness",
     "GronwallVerdict",
-    "SearchConfig",
     "variation_measure",
     "weighted_variation_measure",
     "pl_times_step",
@@ -392,11 +391,7 @@ def gronwall_verify(u, mu: WeightedMeasure, strictness: float) -> GronwallVerdic
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    f_grid: int = 1025            # certification grid for expression integrands
-    segment_samples: int = 8      # extra scan points inside each sloped piece of g
-    tol: float = 1e-9             # quadrature tolerance for mixed integrators
+SEGMENT_SAMPLES = 8  # extra scan points inside each structural piece of a sloped g
 
 
 def _structurally_nonnegative(g: BVFunction) -> bool:
@@ -418,21 +413,22 @@ def _structurally_positive_somewhere(g: BVFunction) -> bool:
     return max(vals) > 0.0
 
 
-def find_positive_y(f, g, config: SearchConfig | None = None,
-                    pl_cover: PiecewiseLinear | None = None) -> PositivityWitness:
+def find_positive_y(f, g) -> PositivityWitness:
     """Find y with a certified positive integral of f dg up to y.
 
-    Preconditions are enforced: f certifiably positive, g non-negative with
-    g(a) = 0 and not identically zero, and a piecewise-linear (bounded
-    variation) representation of f covering the support edge of g. The two
-    detectors and a structural scan all run; the smallest-y witness wins,
-    named cases beating the scan on ties. On a pure-jump integrator the scan
-    is exhaustive, so coming up empty raises InternalInconsistencyError; with
-    a sloped integrator it raises InconclusiveScan instead.
+    Preconditions are enforced: f piecewise linear or affine (a
+    bounded-variation integrand with an exact piecewise-linear form) and
+    positive, g non-negative with g(a) = 0 and not identically zero. The
+    search takes no configuration. The two detectors and a structural scan
+    all run; the scan reads one cumulative curve over the structural points
+    past the support edge of g (plus SEGMENT_SAMPLES points inside each piece
+    when g has a sloped part), and the smallest-y witness wins, named cases
+    beating the scan on ties. On a pure-jump integrator the scan is
+    exhaustive, so coming up empty raises InternalInconsistencyError; with a
+    sloped integrator it raises InconclusiveScan instead.
     """
-    cfg = config or SearchConfig()
     g = as_bv_function(g)
-    a, b = g.interval.a, g.interval.b
+    a = g.interval.a
     if integrand_interval(f) != g.interval:
         raise PreconditionError("integrand and integrator must share one interval")
 
@@ -448,34 +444,17 @@ def find_positive_y(f, g, config: SearchConfig | None = None,
     edge = support_edge(g)
     if edge is None:
         raise PreconditionError("the integrator vanishes identically", reason="vanishing")
-    cover = pl_cover if pl_cover is not None else pl_coverage(f)
-    covers_edge = cover is not None and cover.interval.a <= edge and (
-        edge < cover.interval.b or edge == b
-    )
-    if not covers_edge:
-        raise PreconditionError(
-            "no bounded-variation representation of the integrand covers the "
-            "support edge; positivity is not guaranteed in this regime",
-            reason="no_bv_coverage",
-        )
-
-    if cover.interval == g.interval:
-        # a full-span cover is the integrand's exact piecewise-linear form;
-        # use it directly so every downstream value and bound is exact
-        f_work = cover
-        certified_positive = cover.min_value() > 0.0
-    else:
-        f_work = f
-        bounds = integrand_range(f, a, b, cfg.f_grid)
-        certified_positive = bounds.certified and bounds.lower > 0.0
-    if not certified_positive:
+    # the integrand's exact piecewise-linear form, so every value and bound
+    # downstream is exact
+    f_work = _exact_form(f)
+    if not f_work.min_value() > 0.0:
         raise PreconditionError(
             "the integrand's positivity is not certified", reason="positivity"
         )
 
     candidates: list[tuple[float, int, PositivityWitness]] = []
 
-    w1 = detect_case1(g, f_work, cfg.f_grid)
+    w1 = detect_case1(g, f_work)
     if w1 is not None:
         candidates.append((w1.y, 0, w1))
 
@@ -486,7 +465,7 @@ def find_positive_y(f, g, config: SearchConfig | None = None,
         if pair.neg.evaluate(y) != 0.0:
             break
         if pair.pos.evaluate(y) > 0.0:
-            w2 = detect_case2(f_work, g, y, cfg.f_grid)
+            w2 = detect_case2(f_work, g, y)
             if w2 is not None:
                 candidates.append((w2.y, 1, w2))
             break
@@ -497,14 +476,15 @@ def find_positive_y(f, g, config: SearchConfig | None = None,
         if x1 < edge:
             continue
         scan_points.append(x1)
-        if not g.linear.is_constant() and cfg.segment_samples > 0:
-            inner = np.linspace(x0, x1, cfg.segment_samples + 2)[1:-1]
+        if not g.linear.is_constant():
+            inner = np.linspace(x0, x1, SEGMENT_SAMPLES + 2)[1:-1]
             scan_points.extend(float(t) for t in inner if t > edge)
     scan_points = sorted(set(scan_points))
-    for y in scan_points:
-        r = rs_bv(f_work, g, y, cfg.tol)
-        lower = r.value - r.error_bound
-        if r.certified and lower > slack(lower):
+    scan = curve(f_work, g, scan_points)
+    for i in np.flatnonzero(np.isin(scan.ys, scan_points) & (scan.values > 0.0)):
+        lower = float(scan.values[i])  # exact: the curve's bounds are 0 here
+        if lower > slack(lower):
+            y = float(scan.ys[i])
             candidates.append((y, 2, PositivityWitness(y, lower, "scan")))
             break
 
@@ -521,29 +501,45 @@ def find_positive_y(f, g, config: SearchConfig | None = None,
         )
     candidates.sort(key=lambda c: (c[0], c[1]))
     best = candidates[0][2]
-    if best.y < b:
-        # right-continuous integrator: the integral stays positive on a whole
-        # stretch past the witness; attach it when one can be certified
-        try:
-            best = replace(best, interval=positive_interval(f_work, g, best, cfg))
-        except (PreconditionError, DomainError):
-            pass
-    return best
+    # right-continuous integrator: the integral stays positive on a whole
+    # stretch past the witness; attach it when one can be certified
+    try:
+        return replace(best, interval=_positive_stretch(g, scan, best))
+    except PreconditionError:
+        return best
 
 
-def positive_interval(f, g, witness: PositivityWitness,
-                      config: SearchConfig | None = None) -> Interval:
+def _exact_form(f) -> PiecewiseLinear:
+    cover = pl_coverage(f)
+    if cover is None:
+        raise PreconditionError(
+            "the integrand has no exact piecewise-linear (bounded-variation) "
+            "form; positivity is not guaranteed in this regime",
+            reason="no_bv_coverage",
+        )
+    return cover
+
+
+def positive_interval(f, g, witness: PositivityWitness) -> Interval:
     """A closed interval [c, d] on which the integral stays positive.
 
-    c is the witness point. For a pure-jump (right-continuous) integrator the
+    c is the witness point. The integrand must be piecewise linear or affine
+    (its exact piecewise-linear form is used), and the function takes no
+    configuration. For a pure-jump (right-continuous) integrator the
     cumulative integral is constant between jumps, so d extends to the
     midpoint of the last constant stretch that stays above half the witness
     bound (reaching b itself when no later jump drags it down). For sloped
     integrators d stops conservatively at the last structural point whose
     whole approach stays above the threshold.
     """
-    cfg = config or SearchConfig()
     g = as_bv_function(g)
+    j = curve(_exact_form(f), g, g.structural_points()[1:])
+    return _positive_stretch(g, j, witness)
+
+
+def _positive_stretch(g: BVFunction, j: IntegralCurve, witness: PositivityWitness) -> Interval:
+    """positive_interval read off an exact curve of f dg (a piecewise-linear
+    f) whose points include every structural point of g after the witness."""
     a, b = g.interval.a, g.interval.b
     c = witness.y
     if not (a < c <= b):
@@ -554,39 +550,35 @@ def positive_interval(f, g, witness: PositivityWitness,
             reason="degenerate",
         )
     threshold = witness.lower_bound / 2.0
+    later = j.ys > c
 
     if g.linear.is_constant():
         # J is right-continuous and constant between the jumps of g
-        later = [p for p, _ in g.jumps_in(a, b) if p > c]
-        lo = c
-        value = rs_jump_exact(f, g, c).value
-        if not value > threshold:
+        i = int(np.searchsorted(j.ys, c, side="right"))  # curve points at or before c
+        if not (j.values[i - 1] if i else 0.0) > threshold:
             raise InternalInconsistencyError(
                 "the integral at the witness fell below the witness bound"
             )
-        for q in later:
-            next_value = rs_jump_exact(f, g, q).value
-            if next_value > threshold:
-                lo = q
-                continue
-            return Interval(c, 0.5 * (lo + q))  # stop strictly before the drop
-        return Interval(c, b)  # positive through the right endpoint
+        after = later & j.at_jump
+        qs = j.ys[after]
+        drops = np.flatnonzero(~(j.values[after] > threshold))
+        if not drops.size:
+            return Interval(c, b)  # positive through the right endpoint
+        k = int(drops[0])
+        lo = float(qs[k - 1]) if k else c
+        return Interval(c, 0.5 * (lo + float(qs[k])))  # stop strictly before the drop
 
     # sloped integrator: between structural points J is monotone (the
     # integrand is positive and each g-piece has one slope sign), so
     # endpoint and left-limit checks certify whole stretches
-    last_good = c
-    for q in [p for p in g.structural_points() if p > c]:
-        r = rs_bv(f, g, q, cfg.tol)
-        jump_at_q = sum(w for p, w in g.jumps_in(a, b) if p == q)
-        left_side = r.value - integrand_value(f, q) * jump_at_q
-        if (r.value - r.error_bound > threshold) and (left_side - r.error_bound > threshold):
-            last_good = q
-        else:
-            break
-    if last_good <= c:
+    at = later & np.isin(j.ys, g.structural_points())
+    qs = j.ys[at]
+    good = (j.values[at] > threshold) & (j.values[at] - j.jumps[at] > threshold)
+    fails = np.flatnonzero(~good)
+    k = int(fails[0]) if fails.size else len(qs)
+    if k == 0:
         raise PreconditionError(
             "cannot certify any stretch past the witness on this sloped "
             "integrator", reason="degenerate",
         )
-    return Interval(c, last_good)
+    return Interval(c, float(qs[k - 1]))

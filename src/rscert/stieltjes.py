@@ -6,8 +6,9 @@ ends). The piecewise-linear part reduces to ordinary integrals slope-piece by
 slope-piece: exact in closed form when the integrand is itself piecewise
 linear, otherwise composite midpoint sums whose error is controlled by the
 integrand's declared modulus of continuity. A definitional Riemann-Stieltjes
-sum is kept alongside as an independent cross-check oracle, and cumulative
-curves y -> J(y) are computed in one pass over the integrator's jumps.
+sum is kept alongside as an independent cross-check oracle. Cumulative
+curves y -> J(y) are computed in one pass over the integrator's jumps and
+knots; they are the one place that computes J at many points.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .funcspec import (
 __all__ = [
     "IntegralResult",
     "IntegralCurve",
-    "CurvePoint",
     "ToleranceNotReached",
     "rs_jump_exact",
     "rs_pl_certified",
@@ -265,16 +265,13 @@ def integration_by_parts_residual(f, g, y: float, tol: float = DEFAULT_TOL) -> f
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    y: float
-    value: float
-    error_bound: float
-    kind: str  # "jump" | "grid"
-
-
-@dataclass(frozen=True)
 class IntegralCurve:
-    """Cumulative integral J(y) sampled at jump points and requested grid points.
+    """Cumulative integral J(y), in columns over jump points and grid points.
+
+    ys is strictly increasing; values holds J(y), error_bounds its bound
+    (0 when exact), jumps the contribution f(p) * (g(p) - g(p-)) of a jump of
+    g at the point (0 elsewhere), so values - jumps is the left limit J(y-),
+    and at_jump marks the jump points of g.
 
     For a pure step integrator, J is a right-continuous step function of y:
     constant_segments lists (lo, hi, value) triples with J == value on
@@ -283,74 +280,75 @@ class IntegralCurve:
     nontrivial linear part.
     """
 
-    points: tuple[CurvePoint, ...]
+    ys: np.ndarray
+    values: np.ndarray
+    error_bounds: np.ndarray
+    jumps: np.ndarray
+    at_jump: np.ndarray
     constant_segments: tuple[tuple[float, float, float], ...] | None
 
-    def values(self) -> np.ndarray:
-        return np.asarray([p.value for p in self.points])
 
-    def ys(self) -> np.ndarray:
-        return np.asarray([p.y for p in self.points])
+def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of f against the continuous part lin up to each y, with its bound.
+
+    For a piecewise-linear f the cuts merge a, the ys and the knots of f and
+    lin, so both are affine on every cut interval and each increment is
+    exactly (lin(x1) - lin(x0)) * (f(x0) + f(x1)) / 2. Other integrands get
+    one certified quadrature per stretch between consecutive ys.
+    """
+    if not isinstance(f, PiecewiseLinear):
+        values = np.zeros(len(ys))
+        bounds = np.zeros(len(ys))
+        for k, (lo, hi) in enumerate(zip([lin.interval.a, *ys.tolist()], ys.tolist())):
+            seg = _integrate_over_pieces(f, _clipped_pieces(lin, lo, hi), tol)
+            values[k], bounds[k] = seg.value, seg.error_bound
+        return np.cumsum(values), np.cumsum(bounds)
+    cuts = np.concatenate([[lin.interval.a], ys, lin.xs, f.xs])
+    cuts = np.unique(cuts[cuts <= ys[-1]])
+    fv = f.evaluate_array(cuts)
+    steps = np.diff(lin.evaluate_array(cuts)) * (0.5 * (fv[:-1] + fv[1:]))
+    return np.concatenate([[0.0], np.cumsum(steps)])[np.searchsorted(cuts, ys)], np.zeros(len(ys))
 
 
 def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
-    """J(y) = integral of f dg up to y, in one pass over jumps and grid points.
+    """J(y) = integral of f dg up to y, at every jump point of g and grid point.
 
-    Every jump point of g becomes an output point (kind "jump") alongside the
-    requested grid points; the jump contributions accumulate once, and the
-    linear part accumulates segment by segment, so the cost is
-    O(jumps + grid), not O(jumps * grid).
+    The jump contributions accumulate in one cumulative sum. For a
+    piecewise-linear f the linear part is one exact cumulative sum over the
+    merged jumps, grid points and knots of f and g, so the cost is linear in
+    the number of jumps, grid points and knots (up to one sort). Other
+    integrands add one certified quadrature, with its bound, per stretch
+    between consecutive output points, and each stretch scans g's knots.
     """
     g = as_bv_function(g)
     a, b = g.interval.a, g.interval.b
-    grid = [float(y) for y in y_grid]
-    for y0, y1 in zip(grid, grid[1:]):
-        if not y0 < y1:
-            raise DomainError("y_grid must be strictly increasing")
-    for y in grid:
-        _require_upper_limit(g.interval, y)
+    grid = np.asarray(y_grid, dtype=float)
+    if np.any(~(np.diff(grid) > 0.0)):
+        raise DomainError("y_grid must be strictly increasing")
+    outside = ~((grid > a) & (grid <= b))
+    if outside.any():
+        _require_upper_limit(g.interval, float(grid[outside][0]))
 
     jump_list = g.jumps_in(a, b)
-    jump_positions = [p for p, _ in jump_list]
-    if jump_positions:
-        jump_values = integrand_values(f, np.asarray(jump_positions))
-        jump_at = {
-            p: float(v) * w
-            for (p, w), v in zip(jump_list, jump_values)
-        }
-    else:
-        jump_at = {}
-    pure_step = g.linear.is_constant()
-
-    events = sorted(set(grid) | set(jump_positions))
-    points: list[CurvePoint] = []
-    acc = 0.0
-    acc_bound = 0.0
-    prev = a
-    for yv in events:
-        if not pure_step and yv > prev:
-            seg = _integrate_over_pieces(f, _clipped_pieces(g.linear, prev, yv), tol)
-            acc += seg.value
-            acc_bound += seg.error_bound
-        if yv in jump_at:
-            acc += jump_at[yv]
-            kind = "jump"
-        else:
-            kind = "grid"
-        points.append(CurvePoint(yv, acc, acc_bound, kind))
-        prev = yv
+    jump_ys = np.asarray([p for p, _ in jump_list], dtype=float)
+    ys = np.union1d(grid, jump_ys)
+    at = np.searchsorted(ys, jump_ys)
+    at_jump = np.zeros(len(ys), dtype=bool)
+    at_jump[at] = True
+    jumps = np.zeros(len(ys))
+    if jump_list:
+        jumps[at] = integrand_values(f, jump_ys) * np.asarray([w for _, w in jump_list])
+    values = np.cumsum(jumps)
+    error_bounds = np.zeros(len(ys))
 
     segments = None
-    if pure_step:
-        segs = []
-        level = 0.0
-        lo = a
-        for p in jump_positions:
-            segs.append((lo, p, level))
-            level += jump_at[p]
-            lo = p
-        if lo < b:
-            segs.append((lo, b, level))
-        segments = tuple(segs)
+    if g.linear.is_constant():
+        levels = [0.0, *values[at].tolist()]
+        lows = [a, *jump_ys.tolist()]
+        highs = [*jump_ys.tolist(), b]
+        segments = tuple((lo, hi, v) for lo, hi, v in zip(lows, highs, levels) if lo < hi)
+    elif len(ys):
+        linear, error_bounds = _linear_part(f, g.linear, ys, tol)
+        values = values + linear
 
-    return IntegralCurve(tuple(points), segments)
+    return IntegralCurve(ys, values, error_bounds, jumps, at_jump, segments)

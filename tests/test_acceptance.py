@@ -1,7 +1,6 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Run as `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines
-(or via the summary in test_output.txt).
+Run as `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
 from contextlib import contextmanager

@@ -387,6 +387,32 @@ class TestFindPositiveY:
         r = rs_bv(f, g, w.y)
         assert r.value - r.error_bound > 0.0
 
+    def test_property_run_on_sloped_mixed_integrators(self):
+        # non-negative step plus a rising piecewise-linear part, g(a) = 0
+        rng = sampling.make_rng(1717)
+        intervals = 0
+        for _ in range(200):
+            interval = sampling.random_interval(rng)
+            f = sampling.random_positive_pl(rng, interval)
+            lin = sampling.random_piecewise_linear(rng, interval, low=0.0, high=1.0)
+            rising = PiecewiseLinear(tuple(zip(lin.xs, np.cumsum((0.0,) + lin.ys[1:]))))
+            g = BVFunction(sampling.random_nonnegative_step(rng, interval), rising)
+            w = find_positive_y(f, g)
+            r = rs_bv(f, g, w.y)
+            assert 0.0 < w.lower_bound <= r.value + slack(r.value)
+            if w.interval is None:
+                continue
+            intervals += 1
+            for q in g.structural_points():
+                if not w.interval.a <= q <= w.interval.b:
+                    continue
+                value = rs_bv(f, g, q).value
+                assert value > 0.0
+                if q > w.interval.a:
+                    left = value - f.evaluate(q) * (g.evaluate(q) - g.left_limit(q))
+                    assert left > 0.0
+        assert intervals > 100
+
     def test_witness_carries_certified_interval(self):
         f = const_pl(1.0)
         g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))

@@ -293,9 +293,9 @@ class TestCurve:
         g = StepFunction(UNIT, (0.2, 0.5, 0.8), (0.0, 1.0, 0.25, 2.0), 0.0)
         f = PiecewiseLinear(((0.0, 1.0), (1.0, 3.0)))
         c = curve(f, g, [0.1, 0.35, 0.65, 0.9, 1.0])
-        for p in c.points:
-            assert p.value == pytest.approx(rs_jump_exact(f, g, p.y).value, abs=1e-12)
-        kinds = {p.y: p.kind for p in c.points}
+        for y, value in zip(c.ys, c.values):
+            assert value == pytest.approx(rs_jump_exact(f, g, y).value, abs=1e-12)
+        kinds = {y: "jump" if j else "grid" for y, j in zip(c.ys, c.at_jump)}
         assert kinds[0.2] == "jump" and kinds[0.35] == "grid"
 
     def test_unit_integrand_reproduces_integrator(self):
@@ -304,9 +304,9 @@ class TestCurve:
         g = sampling.random_bv(rng, interval)
         grid = [0.1, 0.4, 0.7, 1.0]
         c = curve(const_pl(1.0), g, grid)
-        for p in c.points:
-            expected = g.evaluate(p.y) - g.evaluate(0.0)
-            assert abs(p.value - expected) <= p.error_bound + slack(expected)
+        for y, value, bound in zip(c.ys, c.values, c.error_bounds):
+            expected = g.evaluate(y) - g.evaluate(0.0)
+            assert abs(value - expected) <= bound + slack(expected)
 
     def test_constancy_between_jumps(self):
         g = StepFunction(UNIT, (0.25, 0.75), (0.0, 1.0, -0.5), -0.5)
@@ -330,10 +330,11 @@ class TestCurve:
             g = sampling.random_bv(rng, interval)
             grid = sorted({sampling.random_upper_limit(rng, interval) for _ in range(8)})
             c = curve(f, g, grid)
-            for p in c.points:
-                direct = rs_bv(f, g, p.y)
-                assert abs(p.value - direct.value) <= (
-                    p.error_bound + direct.error_bound + slack(direct.value)
+            assert not c.error_bounds.any()  # piecewise-linear integrand: exact
+            for y, value, bound in zip(c.ys, c.values, c.error_bounds):
+                direct = rs_bv(f, g, y)
+                assert abs(value - direct.value) <= (
+                    bound + direct.error_bound + slack(direct.value)
                 )
 
     def test_grid_must_increase(self):
