@@ -4,9 +4,10 @@ Two building blocks cover everything this package integrates against: a
 right-continuous step function with finitely many breakpoints (the value at
 the right endpoint is stored separately so half-open indicator bricks are
 representable), and a continuous piecewise-linear interpolant. A BVFunction
-is the pointwise sum of one of each. Evaluation, one-sided limits, jump
-extraction, total variation and the Jordan split into non-decreasing parts
-are all read off the representation exactly; the only sampled (inexact)
+is the pointwise sum of one of each. Evaluation, one-sided limits (at one
+point, or at every structural point at once through ``BVFunction.profile``),
+jump extraction, total variation and the Jordan split into non-decreasing
+parts are all read off the representation exactly; the only sampled (inexact)
 operation is ``sampled_total_variation``, a lower-bound diagnostic.
 """
 
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -236,6 +238,9 @@ class PiecewiseLinear:
     """
 
     knots: tuple[tuple[float, float], ...]
+    interval: Interval = field(init=False, repr=False, compare=False)
+    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kn = tuple((float(x), float(y)) for x, y in self.knots)
@@ -247,22 +252,13 @@ class PiecewiseLinear:
             if not x0 < x1:
                 raise ConstructionError(f"knot abscissae not strictly increasing at {x1!r}")
         object.__setattr__(self, "knots", kn)
+        object.__setattr__(self, "interval", Interval(kn[0][0], kn[-1][0]))
+        object.__setattr__(self, "xs", tuple(x for x, _ in kn))
+        object.__setattr__(self, "ys", tuple(y for _, y in kn))
 
     @classmethod
     def constant(cls, interval: Interval, value: float = 0.0) -> "PiecewiseLinear":
         return cls(((interval.a, value), (interval.b, value)))
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.knots[0][0], self.knots[-1][0])
-
-    @property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(x for x, _ in self.knots)
-
-    @property
-    def ys(self) -> tuple[float, ...]:
-        return tuple(y for _, y in self.knots)
 
     def slopes(self) -> tuple[float, ...]:
         return tuple(
@@ -274,9 +270,7 @@ class PiecewiseLinear:
 
     def evaluate(self, x: float) -> float:
         self.interval.require(x)
-        xs = self.xs
-        i = min(bisect_right(xs, x), len(xs) - 1) - 1
-        i = max(i, 0)
+        i = min(max(bisect_right(self.xs, x), 1), len(self.xs) - 1) - 1
         x0, y0 = self.knots[i]
         x1, y1 = self.knots[i + 1]
         if x == x1:
@@ -284,10 +278,14 @@ class PiecewiseLinear:
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
+        """evaluate at every point, with the same arithmetic: equal bit for bit."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < self.interval.a or xs.max() > self.interval.b):
             raise DomainError("points outside the function's interval")
-        return np.interp(xs, np.asarray(self.xs), np.asarray(self.ys))
+        kx, ky = np.asarray(self.xs), np.asarray(self.ys)
+        i = np.clip(np.searchsorted(kx, xs, side="right"), 1, len(kx) - 1) - 1
+        x0, y0, x1, y1 = kx[i], ky[i], kx[i + 1], ky[i + 1]
+        return np.where(xs == x1, y1, y0 + (y1 - y0) * (xs - x0) / (x1 - x0))
 
     def left_limit(self, x: float) -> float:
         if not (self.interval.a < x <= self.interval.b):
@@ -415,6 +413,30 @@ class BVFunction:
         pts.update(self.linear.xs)
         return tuple(sorted(pts))
 
+    @cached_property
+    def profile(self) -> "StructuralProfile":
+        """g, g(x-) and g(x+) at every structural point, read in one pass.
+
+        The step part is looked up with searchsorted over its breakpoints and
+        the linear part with one evaluate_array call, so each entry equals
+        evaluate, left_limit and right_limit at that point bit for bit. At a
+        the left limit, and at b the right limit, is the value itself. The
+        function is immutable, so the read is made once and kept.
+        """
+        step = self.step
+        pts = np.asarray(self.structural_points())
+        bp, pv = np.asarray(step.breakpoints), np.asarray(step.piece_values)
+        values = pv[np.searchsorted(bp, pts, side="right")]
+        values[-1] = step.end_value  # the last structural point is b
+        left = pv[np.searchsorted(bp, pts, side="left")]
+        left[0] = values[0]
+        lin = self.linear.evaluate_array(pts)
+        values, left = values + lin, left + lin
+        columns = (pts, values, left, values)  # right-continuous: g(x+) = g(x)
+        for col in columns:
+            col.flags.writeable = False
+        return StructuralProfile(*columns)
+
     def is_pure_step(self) -> bool:
         return self.linear.is_constant()
 
@@ -423,6 +445,20 @@ class BVFunction:
 
     def scaled(self, factor: float) -> "BVFunction":
         return BVFunction(self.step.scaled(factor), self.linear.scaled(factor))
+
+
+@dataclass(frozen=True)
+class StructuralProfile:
+    """One columnar read of a BVFunction at its sorted structural points.
+
+    Between consecutive points the function is affine, so these columns
+    decide every sign question about it exactly.
+    """
+
+    points: np.ndarray
+    values: np.ndarray  # g(x)
+    left: np.ndarray  # g(x-), with g(a) at a
+    right: np.ndarray  # g(x+), the values array itself (g(b) at b)
 
 
 def as_bv_function(g) -> BVFunction:
@@ -504,14 +540,6 @@ def jumps(g, c: float, d: float) -> list[tuple[float, float]]:
     return as_bv_function(g).jumps_in(c, d)
 
 
-def _integrand_values(f, xs: np.ndarray) -> np.ndarray:
-    if hasattr(f, "evaluate_array"):
-        return np.asarray(f.evaluate_array(xs), dtype=float)
-    if hasattr(f, "evaluate"):
-        return np.asarray([f.evaluate(x) for x in xs], dtype=float)
-    return np.asarray([f(x) for x in xs], dtype=float)
-
-
 def sampled_total_variation(f, c: float, d: float, partition_size: int) -> float:
     """Sum of |increments| of f over a uniform partition of [c, d].
 
@@ -525,5 +553,4 @@ def sampled_total_variation(f, c: float, d: float, partition_size: int) -> float
     if c > d:
         raise DomainError(f"need c <= d, got c={c}, d={d}")
     xs = np.linspace(c, d, partition_size + 1)
-    vals = _integrand_values(f, xs)
-    return float(np.abs(np.diff(vals)).sum())
+    return float(np.abs(np.diff(f.evaluate_array(xs))).sum())

@@ -36,10 +36,8 @@ from .bv_core import (
 from .funcspec import (
     EvaluationError,
     IntegrandSpec,
-    Lipschitz,
     ParseError,
     Sampled,
-    affine_pl_form,
     parse,
 )
 from .stieltjes import (
@@ -199,15 +197,10 @@ def load_integrator(path: str) -> BVFunction:
 
 
 def integrand_from_text(text: str, domain: Interval) -> IntegrandSpec:
-    """Parse --f text on the integrator's interval; affine expressions get
-    their exact Lipschitz modulus, everything else a heuristic Sampled one."""
-    expr = parse(text)
-    spec = IntegrandSpec(expr, domain, Sampled(resolution=2**16, safety_factor=1.5))
-    pl = affine_pl_form(spec)
-    if pl is not None:
-        steepest = max((abs(s) for s in pl.slopes()), default=0.0)
-        return IntegrandSpec(expr, domain, Lipschitz(steepest))
-    return spec
+    """Parse --f text on the integrator's interval, with a heuristic Sampled
+    modulus. Affine expressions never consult it: the integration and the
+    witness search take their exact piecewise-linear form."""
+    return IntegrandSpec(parse(text), domain, Sampled(resolution=2**16, safety_factor=1.5))
 
 
 # ---------------------------------------------------------------------------

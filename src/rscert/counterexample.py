@@ -255,20 +255,14 @@ def partial_integral(f: IntegrandSpec, fam: OscillationFamily, beta: float,
     """Exact truncated partial integral up to trough(n):
     n^-beta * f(trough(n)) - sum_{k=n+1}^{truncation} k^-beta * (f(crest_k) - f(trough_k)).
 
-    Agrees with rs_jump_exact against build_bricks at y = trough(n); the
-    discarded k > truncation tail is handled separately (tail_lower_bound).
+    The entry for n of the index records a certificate stores; agrees with
+    rs_jump_exact against build_bricks at y = trough(n). The discarded
+    k > truncation tail is handled separately (tail_lower_bound).
     """
     if not 1 <= n <= truncation:
         raise DomainError(f"index {n} outside 1..{truncation}")
-    ks = np.arange(n + 1, truncation + 1)
-    if ks.size:
-        troughs = np.asarray([fam.trough(int(k)) for k in ks])
-        crests = np.asarray([fam.crest(int(k)) for k in ks])
-        rises = integrand_values(f, crests) - integrand_values(f, troughs)
-        tail = float((ks.astype(float) ** (-beta)) @ rises)
-    else:
-        tail = 0.0
-    return float(n) ** (-beta) * f.evaluate(fam.trough(n)) - tail
+    records, _ = _index_records(f, fam, beta, truncation)
+    return records[n - 1].partial_integral
 
 
 def tail_lower_bound(alpha: float, beta: float, gamma: float, n: int) -> float:

@@ -232,32 +232,24 @@ class PositivityWitness:
 def support_edge(g: BVFunction) -> float | None:
     """inf{x : g(x) > 0}, read exactly off the representation.
 
-    Walks the structural pieces in order; inside a piece the function is
-    affine, so the first positive point is either the piece's start or the
-    zero crossing of a rising segment. None when g is never positive.
+    Queries the structural profile of g: the first piece whose start value
+    is positive begins at the edge, and otherwise the first piece that ends
+    positive is affine from g(x0+) <= 0 to g(x1-) > 0, so the edge is its
+    zero crossing. None when g is never positive.
     """
-    g = as_bv_function(g)
-    pts = g.structural_points()
-    for x0, x1 in zip(pts, pts[1:]):
-        v0 = g.right_limit(x0)
-        v1 = g.left_limit(x1)
-        if g.evaluate(x0) > 0.0:
-            return x0
-        if v0 > 0.0:
-            return x0
-        if v1 > 0.0:
-            # affine from v0 <= 0 to v1 > 0: positive past the crossing
-            return x0 + (x1 - x0) * (0.0 - v0) / (v1 - v0)
-    if g.evaluate(pts[-1]) > 0.0:
-        return pts[-1]
-    return None
-
-
-def _next_structural_after(g: BVFunction, x: float) -> float:
-    for p in g.structural_points():
-        if p > x:
-            return p
-    return g.interval.b
+    prof = as_bv_function(g).profile
+    starts = prof.right > 0.0  # g(x0+) = g(x0): right-continuous
+    ends = np.append(prof.left[1:] > 0.0, False)
+    hits = np.flatnonzero(starts | ends)
+    if not hits.size:
+        return None
+    k = int(hits[0])
+    x0 = float(prof.points[k])
+    if starts[k]:
+        return x0
+    v0, v1 = float(prof.right[k]), float(prof.left[k + 1])
+    # affine from v0 <= 0 to v1 > 0: positive past the crossing
+    return x0 + (float(prof.points[k + 1]) - x0) * (0.0 - v0) / (v1 - v0)
 
 
 def detect_case1(g, f, grid_size: int = 1025) -> PositivityWitness | None:
@@ -275,8 +267,9 @@ def detect_case1(g, f, grid_size: int = 1025) -> PositivityWitness | None:
         return None
     if g.right_limit(edge) <= 0.0:
         return None
-    nxt = _next_structural_after(g, edge)
-    eps = 0.5 * (nxt - edge)
+    pts = g.profile.points
+    k = int(np.searchsorted(pts, edge, side="right"))
+    eps = 0.5 * ((float(pts[k]) if k < len(pts) else g.interval.b) - edge)
     if eps <= 0.0:
         return None
     y = edge + eps
@@ -395,22 +388,9 @@ SEGMENT_SAMPLES = 8  # extra scan points inside each structural piece of a slope
 
 
 def _structurally_nonnegative(g: BVFunction) -> bool:
-    pts = g.structural_points()
-    tol = -slack(g.total_variation(g.interval.a, g.interval.b))
-    for x0, x1 in zip(pts, pts[1:]):
-        if g.right_limit(x0) < tol or g.left_limit(x1) < tol:
-            return False
-        if g.evaluate(x0) < tol:
-            return False
-    return g.evaluate(pts[-1]) >= tol
-
-
-def _structurally_positive_somewhere(g: BVFunction) -> bool:
-    pts = g.structural_points()
-    vals = [g.evaluate(p) for p in pts]
-    vals += [g.right_limit(p) for p in pts[:-1]]
-    vals += [g.left_limit(p) for p in pts[1:]]
-    return max(vals) > 0.0
+    prof = g.profile
+    lowest = min(prof.values.min(), prof.left.min())
+    return lowest >= -slack(g.total_variation(g.interval.a, g.interval.b))
 
 
 def find_positive_y(f, g) -> PositivityWitness:
@@ -419,10 +399,13 @@ def find_positive_y(f, g) -> PositivityWitness:
     Preconditions are enforced: f piecewise linear or affine (a
     bounded-variation integrand with an exact piecewise-linear form) and
     positive, g non-negative with g(a) = 0 and not identically zero. The
-    search takes no configuration. The two detectors and a structural scan
-    all run; the scan reads one cumulative curve over the structural points
-    past the support edge of g (plus SEGMENT_SAMPLES points inside each piece
-    when g has a sloped part), and the smallest-y witness wins, named cases
+    search takes no configuration. Every statement about g itself (the
+    preconditions, the support edge, where case 2 is tried and the scan
+    points) is a query on one read of g's structural profile
+    (BVFunction.profile). The two detectors and a structural scan all run;
+    the scan reads one cumulative curve over the structural points past the
+    support edge of g (plus SEGMENT_SAMPLES points inside each piece when g
+    has a sloped part), and the smallest-y witness wins, named cases
     beating the scan on ties. On a pure-jump integrator the scan is
     exhaustive, so coming up empty raises InternalInconsistencyError; with a
     sloped integrator it raises InconclusiveScan instead.
@@ -436,11 +419,6 @@ def find_positive_y(f, g) -> PositivityWitness:
         raise PreconditionError("the integrator must start at 0", reason="start")
     if not _structurally_nonnegative(g):
         raise PreconditionError("the integrator must be non-negative", reason="sign")
-    if not _structurally_positive_somewhere(g):
-        raise PreconditionError(
-            "the integrator vanishes identically", reason="vanishing"
-        )
-
     edge = support_edge(g)
     if edge is None:
         raise PreconditionError("the integrator vanishes identically", reason="vanishing")
@@ -458,28 +436,27 @@ def find_positive_y(f, g) -> PositivityWitness:
     if w1 is not None:
         candidates.append((w1.y, 0, w1))
 
-    pair = jordan_decompose(g)
-    for y in g.structural_points():
-        if y <= a:
-            continue
-        if pair.neg.evaluate(y) != 0.0:
-            break
-        if pair.pos.evaluate(y) > 0.0:
+    # case 2 is tried at the first structural point where g has moved, and
+    # only when it has moved upward alone so far
+    prof = g.profile
+    pts = prof.points
+    start = prof.values[0]
+    moved = np.flatnonzero((prof.left[1:] != start) | (prof.values[1:] != start))
+    if moved.size:
+        y = float(pts[moved[0] + 1])
+        pair = jordan_decompose(g)
+        if pair.neg.evaluate(y) == 0.0 and pair.pos.evaluate(y) > 0.0:
             w2 = detect_case2(f_work, g, y)
             if w2 is not None:
                 candidates.append((w2.y, 1, w2))
-            break
 
-    scan_points: list[float] = []
-    pts = g.structural_points()
-    for x0, x1 in zip(pts, pts[1:]):
-        if x1 < edge:
-            continue
-        scan_points.append(x1)
-        if not g.linear.is_constant():
-            inner = np.linspace(x0, x1, SEGMENT_SAMPLES + 2)[1:-1]
-            scan_points.extend(float(t) for t in inner if t > edge)
-    scan_points = sorted(set(scan_points))
+    # every structural point from the edge on, plus inner points of each
+    # piece past the edge when g is sloped
+    scan_points = pts[1:][pts[1:] >= edge]
+    sloped = not g.linear.is_constant()
+    if sloped:
+        inner = np.linspace(pts[:-1], pts[1:], SEGMENT_SAMPLES + 2, axis=1)[:, 1:-1].ravel()
+        scan_points = np.union1d(scan_points, inner[inner > edge])
     scan = curve(f_work, g, scan_points)
     for i in np.flatnonzero(np.isin(scan.ys, scan_points) & (scan.values > 0.0)):
         lower = float(scan.values[i])  # exact: the curve's bounds are 0 here
@@ -489,7 +466,7 @@ def find_positive_y(f, g) -> PositivityWitness:
             break
 
     if not candidates:
-        if g.linear.is_constant():
+        if not sloped:
             raise InternalInconsistencyError(
                 "no positive upper limit found on a pure-jump instance that "
                 "satisfies every precondition; this contradicts the guarantee "
@@ -497,7 +474,7 @@ def find_positive_y(f, g) -> PositivityWitness:
             )
         raise InconclusiveScan(
             "no witness at the scanned points; a positive stretch may hide "
-            "between them", tuple(scan_points)
+            "between them", tuple(scan_points.tolist())
         )
     candidates.sort(key=lambda c: (c[0], c[1]))
     best = candidates[0][2]
@@ -533,7 +510,7 @@ def positive_interval(f, g, witness: PositivityWitness) -> Interval:
     whole approach stays above the threshold.
     """
     g = as_bv_function(g)
-    j = curve(_exact_form(f), g, g.structural_points()[1:])
+    j = curve(_exact_form(f), g, g.profile.points[1:])
     return _positive_stretch(g, j, witness)
 
 
@@ -571,7 +548,7 @@ def _positive_stretch(g: BVFunction, j: IntegralCurve, witness: PositivityWitnes
     # sloped integrator: between structural points J is monotone (the
     # integrand is positive and each g-piece has one slope sign), so
     # endpoint and left-limit checks certify whole stretches
-    at = later & np.isin(j.ys, g.structural_points())
+    at = later & np.isin(j.ys, g.profile.points)
     qs = j.ys[at]
     good = (j.values[at] > threshold) & (j.values[at] - j.jumps[at] > threshold)
     fails = np.flatnonzero(~good)

@@ -30,6 +30,7 @@ from .funcspec import (
     integrand_is_heuristic,
     integrand_modulus,
     integrand_values,
+    pl_coverage,
 )
 
 __all__ = [
@@ -116,9 +117,6 @@ def _integrate_over_pieces(f, pieces, tol: float) -> IntegralResult:
     """sum_i s_i * integral of f over piece i, with a modulus-driven bound."""
     if not pieces:
         return IntegralResult(0.0, 0.0, True)
-    if isinstance(f, PiecewiseLinear):
-        value = math.fsum(s * f.integral(lo, hi) for lo, hi, s in pieces)
-        return IntegralResult(value, 0.0, True)
 
     domain_len = integrand_interval(f).length
 
@@ -161,9 +159,9 @@ def _integrate_over_pieces(f, pieces, tol: float) -> IntegralResult:
 def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -> IntegralResult:
     """Integral of f against a piecewise-linear integrator, with a bound.
 
-    Reduces to sum_i s_i * integral of f over each slope piece. Exact for
-    piecewise-linear integrands. For expression integrands, composite
-    midpoint sums are refined until
+    The cumulative kernel read at y. Exact (bound 0, certified) when f has an
+    exact piecewise-linear form. Otherwise composite midpoint sums over each
+    slope piece are refined until
     sum_i |s_i| * len_i * omega_f(subinterval width) <= tol, within the
     round and evaluation caps; failing that, ToleranceNotReached carries the
     best achievable value and bound.
@@ -171,7 +169,8 @@ def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -
     _require_upper_limit(g.interval, y)
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    return _integrate_over_pieces(f, _clipped_pieces(g, g.interval.a, y), tol)
+    values, bounds, certified = _linear_part(f, g, np.asarray([y]), tol)
+    return IntegralResult(float(values[0]), float(bounds[0]), certified)
 
 
 def rs_bv(f, g, y: float, tol: float = DEFAULT_TOL) -> IntegralResult:
@@ -288,26 +287,32 @@ class IntegralCurve:
     constant_segments: tuple[tuple[float, float, float], ...] | None
 
 
-def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integral of f against the continuous part lin up to each y, with its bound.
+def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Integral of f against the continuous part lin up to each y, its
+    bound, and whether the bound is certified.
 
-    For a piecewise-linear f the cuts merge a, the ys and the knots of f and
-    lin, so both are affine on every cut interval and each increment is
-    exactly (lin(x1) - lin(x0)) * (f(x0) + f(x1)) / 2. Other integrands get
-    one certified quadrature per stretch between consecutive ys.
+    The one place that picks the exact path. When f has an exact
+    piecewise-linear form (pl_coverage), the cuts merge a, the ys and the
+    knots of that form and of lin, so both are affine on every cut interval
+    and each increment is exactly (lin(x1) - lin(x0)) * (f(x0) + f(x1)) / 2,
+    with no modulus consulted. Other integrands get one certified quadrature
+    per stretch between consecutive ys.
     """
-    if not isinstance(f, PiecewiseLinear):
-        values = np.zeros(len(ys))
-        bounds = np.zeros(len(ys))
-        for k, (lo, hi) in enumerate(zip([lin.interval.a, *ys.tolist()], ys.tolist())):
-            seg = _integrate_over_pieces(f, _clipped_pieces(lin, lo, hi), tol)
-            values[k], bounds[k] = seg.value, seg.error_bound
-        return np.cumsum(values), np.cumsum(bounds)
-    cuts = np.concatenate([[lin.interval.a], ys, lin.xs, f.xs])
+    exact = pl_coverage(f)
+    if exact is None:
+        segs = [
+            _integrate_over_pieces(f, _clipped_pieces(lin, lo, hi), tol)
+            for lo, hi in zip([lin.interval.a, *ys.tolist()], ys.tolist())
+        ]
+        return (np.cumsum([seg.value for seg in segs]),
+                np.cumsum([seg.error_bound for seg in segs]),
+                all(seg.certified for seg in segs))
+    cuts = np.concatenate([[lin.interval.a], ys, lin.xs, exact.xs])
     cuts = np.unique(cuts[cuts <= ys[-1]])
-    fv = f.evaluate_array(cuts)
+    fv = exact.evaluate_array(cuts)
     steps = np.diff(lin.evaluate_array(cuts)) * (0.5 * (fv[:-1] + fv[1:]))
-    return np.concatenate([[0.0], np.cumsum(steps)])[np.searchsorted(cuts, ys)], np.zeros(len(ys))
+    values = np.concatenate([[0.0], np.cumsum(steps)])[np.searchsorted(cuts, ys)]
+    return values, np.zeros(len(ys)), True
 
 
 def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
@@ -348,7 +353,7 @@ def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
         highs = [*jump_ys.tolist(), b]
         segments = tuple((lo, hi, v) for lo, hi, v in zip(lows, highs, levels) if lo < hi)
     elif len(ys):
-        linear, error_bounds = _linear_part(f, g.linear, ys, tol)
+        linear, error_bounds, _ = _linear_part(f, g.linear, ys, tol)
         values = values + linear
 
     return IntegralCurve(ys, values, error_bounds, jumps, at_jump, segments)

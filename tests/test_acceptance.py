@@ -83,11 +83,15 @@ def test_criterion_2_partial_integral_identity(family):
     with criterion(2, "partial integrals match exact jump integration at 200 indices"):
         f, fam = family
         h = build_bricks(fam, BETA, N, interval=f.domain)
+        _, _, cert = build_counterexample(f, fam, BETA, N, f_sup=POWER_SINE_UPPER_BOUND)
         rng = sampling.make_rng(202)
         indices = sorted(set(int(n) for n in rng.integers(1, N + 1, size=200)))
         assert len(indices) >= 150
         for n in indices:
             lhs = partial_integral(f, fam, BETA, n, N)
+            # the certificate's own number for index n
+            assert cert.records[n - 1].n == n
+            assert cert.records[n - 1].partial_integral == lhs
             rhs = rs_jump_exact(f, h, fam.trough(n)).value
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 

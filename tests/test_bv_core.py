@@ -104,6 +104,13 @@ class TestPiecewiseLinear:
     def test_interpolation(self):
         f = PiecewiseLinear(((0.0, 0.0), (1.0, 2.0)))
         assert f.evaluate(0.25) == pytest.approx(0.5)
+        # the array form runs the scalar arithmetic: equal bit for bit
+        rng = sampling.make_rng(4242)
+        for _ in range(50):
+            interval = sampling.random_interval(rng)
+            g = sampling.random_piecewise_linear(rng, interval)
+            xs = np.concatenate([g.xs, rng.uniform(interval.a, interval.b, 40)])
+            assert g.evaluate_array(xs).tolist() == [g.evaluate(x) for x in xs]
 
     def test_continuity_of_limits(self):
         f = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
@@ -129,6 +136,38 @@ class TestPiecewiseLinear:
             PiecewiseLinear(((0.0, 0.0),))
         with pytest.raises(ConstructionError):
             PiecewiseLinear(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
+
+
+class TestStructuralProfile:
+    def test_matches_scalar_reads_bit_for_bit(self):
+        rng = sampling.make_rng(5151)
+        for k in range(300):
+            interval = sampling.random_interval(rng)
+            if k % 3 == 0:
+                g = sampling.random_bv(rng, interval)
+            elif k % 3 == 1:
+                g = BVFunction.from_step(sampling.random_step(rng, interval))
+            else:
+                g = BVFunction.from_linear(sampling.random_piecewise_linear(rng, interval))
+            prof = g.profile
+            assert prof.points.tolist() == list(g.structural_points())
+            for i, x in enumerate(prof.points.tolist()):
+                assert prof.values[i] == g.evaluate(x)
+                if x > interval.a:
+                    assert prof.left[i] == g.left_limit(x)
+                if x < interval.b:
+                    assert prof.right[i] == g.right_limit(x)
+            # the missing one-sided value at either end is the value itself
+            assert prof.left[0] == prof.values[0]
+            assert prof.right[-1] == prof.values[-1]
+
+    def test_read_once_and_read_only(self):
+        g = BVFunction.from_step(brick(0.3, 0.6))
+        assert g.profile is g.profile
+        assert g.profile.values.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert g.profile.left.tolist() == [0.0, 0.0, 1.0, 0.0]
+        with pytest.raises(ValueError):
+            g.profile.values[0] = 1.0
 
 
 class TestJumps:

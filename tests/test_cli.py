@@ -110,6 +110,20 @@ class TestIntegrateCommand:
         assert code == EXIT_OK
         assert "value=-0.5" in capsys.readouterr().out
 
+    def test_affine_integrand_against_sloped_integrator_is_exact(self, tmp_path, capsys):
+        doc = {"type": "piecewise_linear",
+               "knots": [[0.0, 0.0], [0.3, 0.6], [0.7, 0.2], [1.0, 1.0]]}
+        path = write_doc(tmp_path, doc)
+        code = main(["integrate", "--f", "x+2", "--g", path, "--y", "0.95"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "error_bound=0.0" in out
+        assert "certified=true" in out
+        value = float(out.split("value=")[1].splitlines()[0])
+        # slope 2, -1, 8/3 on [0, 0.3], [0.3, 0.7], [0.7, 0.95] times the
+        # integrals of x + 2 over them: 1.29 - 1.0 + 1.88333... = 163/75
+        assert value == pytest.approx(163.0 / 75.0, rel=1e-12)
+
     def test_oscillating_integrand_against_bricks(self, tmp_path, capsys):
         doc = {"type": "counterexample", "gamma": 0.5, "beta": 1.5,
                "truncation": 1000, "threshold": 7}

@@ -157,6 +157,16 @@ class TestSupportEdge:
         g = BVFunction.from_linear(const_pl(0.0))
         assert support_edge(g) is None
 
+    def test_step_plus_ramp_crossing_after_a_breakpoint(self):
+        # x - 1 on [0, 0.4), x - 0.6 from the jump at 0.4 on: the sloped
+        # piece that starts at the breakpoint crosses zero at 0.6
+        step = StepFunction(UNIT, (0.4,), (-1.0, -0.6), -0.6)
+        g = BVFunction(step, PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))))
+        edge = support_edge(g)
+        assert edge == pytest.approx(0.6)
+        assert abs(g.evaluate(edge)) <= slack(1.0)
+        assert g.evaluate(0.4) < 0.0 < g.evaluate(0.61)
+
 
 class TestDetectCase1:
     def test_sustained_jump_yields_witness(self):

@@ -93,9 +93,13 @@ class TestPlCertified:
         assert r.error_bound == 0.0
 
     def test_identity_against_identity(self):
-        r = rs_pl_certified(IDENTITY, IDENTITY, 1.0)
-        assert r.value == pytest.approx(0.5)
-        assert r.certified
+        # an affine expression takes the same exact path, whatever its modulus
+        affine = IntegrandSpec(parse("x"), UNIT, Sampled(4096, 1.5))
+        for f in (IDENTITY, affine):
+            r = rs_pl_certified(f, IDENTITY, 1.0)
+            assert r.value == pytest.approx(0.5)
+            assert r.certified
+            assert r.error_bound == 0.0
 
     def test_quadratic_against_tent(self):
         # slope +2 on [0, 0.5], slope -2 on [0.5, 1]:
