@@ -60,7 +60,6 @@ from .counterexample import (
 )
 from .positivity import (
     GronwallVerdict,
-    InconclusiveScan,
     InternalInconsistencyError,
     PositivityWitness,
     PreconditionError,

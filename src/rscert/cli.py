@@ -55,7 +55,6 @@ from .counterexample import (
     POWER_SINE_UPPER_BOUND,
 )
 from .positivity import (
-    InconclusiveScan,
     InternalInconsistencyError,
     PreconditionError,
     find_positive_y,
@@ -347,9 +346,6 @@ def cmd_search_positive(args) -> int:
         if exc.reason == "no_bv_coverage":
             _print_variation_diagnostic(f, g)
         return EXIT_PRECONDITION
-    except InconclusiveScan as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     print(f"y={_fmt(witness.y)}")
     print(f"lower_bound={_fmt(witness.lower_bound)}")
     print(f"method={witness.method}")
@@ -374,6 +370,8 @@ def _print_variation_diagnostic(f, g) -> None:
         fine = sampled_total_variation(f, edge, hi, 2**14)
     except EvaluationError:
         return
+    if not fine > coarse + slack(fine):
+        return  # the sampled variation does not grow: no sign of that regime
     print(
         "unbounded-variation regime diagnostic: sampled variation on "
         f"[{_fmt(edge)},{_fmt(hi)}] grows {_fmt(coarse)} -> {_fmt(fine)} "

@@ -1,13 +1,15 @@
 """Finding upper limits that make the integral positive, and the measure
 machinery that explains why one must exist for bounded-variation integrands.
 
-Two cheap detectors handle the structurally easy cases (the integrator jumps
-off zero, or it has accumulated no downward movement yet); a structural scan
-covers the rest. The measure-theoretic side is a per-instance verifier: the
-variation measure of a piecewise-linear integrand, its reweighting by 1/f,
-the |integral of g df| bound against it, and a discrete Groenwall checker
-that exhibits, on concrete data, why "never positive" would force the
-integrator to vanish.
+The integrators here have finitely many pieces, so the witness search reads
+one exact curve from the support edge on and takes its witness in the piece
+that holds the edge, where g first jumps up or rises against a positive
+integrand. Two public detectors (g jumps off zero; g has only moved
+upward so far) state the named cases on their own.
+The measure-theoretic side is a per-instance verifier: the variation measure
+of a piecewise-linear integrand, its reweighting by 1/f, the |integral of
+g df| bound against it, and a discrete Groenwall checker that exhibits, on
+concrete data, why "never positive" would force the integrator to vanish.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .stieltjes import IntegralCurve, _clipped_pieces, curve, rs_pl_integrator_e
 __all__ = [
     "PreconditionError",
     "InternalInconsistencyError",
-    "InconclusiveScan",
     "VariationMeasure",
     "WeightedMeasure",
     "PositivityWitness",
@@ -62,15 +63,6 @@ class PreconditionError(ValueError):
 class InternalInconsistencyError(RuntimeError):
     """A guaranteed witness was not found on a fully structural instance;
     this signals an implementation bug, not a property of the inputs."""
-
-
-class InconclusiveScan(ArithmeticError):
-    """The scan over a partly continuous integrator found no witness; a
-    maximum may hide between grid points. Carries the scanned points."""
-
-    def __init__(self, message: str, scanned: tuple[float, ...]):
-        super().__init__(message)
-        self.scanned = scanned
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +376,7 @@ def gronwall_verify(u, mu: WeightedMeasure, strictness: float) -> GronwallVerdic
 # ---------------------------------------------------------------------------
 
 
-SEGMENT_SAMPLES = 8  # extra scan points inside each structural piece of a sloped g
+SEGMENT_SAMPLES = 8  # inner points of the edge piece of a sloped g; they place its witness
 
 
 def _structurally_nonnegative(g: BVFunction) -> bool:
@@ -399,16 +391,19 @@ def find_positive_y(f, g) -> PositivityWitness:
     Preconditions are enforced: f piecewise linear or affine (a
     bounded-variation integrand with an exact piecewise-linear form) and
     positive, g non-negative with g(a) = 0 and not identically zero. The
-    search takes no configuration. Every statement about g itself (the
-    preconditions, the support edge, where case 2 is tried and the scan
-    points) is a query on one read of g's structural profile
-    (BVFunction.profile). The two detectors and a structural scan all run;
-    the scan reads one cumulative curve over the structural points past the
-    support edge of g (plus SEGMENT_SAMPLES points inside each piece when g
-    has a sloped part), and the smallest-y witness wins, named cases
-    beating the scan on ties. On a pure-jump integrator the scan is
-    exhaustive, so coming up empty raises InternalInconsistencyError; with a
-    sloped integrator it raises InconclusiveScan instead.
+    search takes no configuration. Every statement about g itself is a query
+    on one read of its structural profile (BVFunction.profile).
+
+    g has finitely many pieces and vanishes up to its support edge, so the
+    integral turns positive in the piece that holds the edge: g either jumps
+    up there or rises linearly against a positive f. One exact curve is read
+    at the structural points from the edge on, plus SEGMENT_SAMPLES inner
+    points of that piece when g is sloped; the witness is the first point
+    whose value clears slack ("scan", the bound is that value). When that
+    point is the first place where g moves at all, and it has only moved up,
+    the witness is "case2" with bound pos(y) * (min of f on [a, y]), pos(y)
+    being the jump there plus the rise before it. No point clearing slack
+    contradicts the guarantee and raises InternalInconsistencyError.
     """
     g = as_bv_function(g)
     a = g.interval.a
@@ -430,60 +425,40 @@ def find_positive_y(f, g) -> PositivityWitness:
             "the integrand's positivity is not certified", reason="positivity"
         )
 
-    candidates: list[tuple[float, int, PositivityWitness]] = []
-
-    w1 = detect_case1(g, f_work)
-    if w1 is not None:
-        candidates.append((w1.y, 0, w1))
-
-    # case 2 is tried at the first structural point where g has moved, and
-    # only when it has moved upward alone so far
     prof = g.profile
     pts = prof.points
-    start = prof.values[0]
-    moved = np.flatnonzero((prof.left[1:] != start) | (prof.values[1:] != start))
-    if moved.size:
-        y = float(pts[moved[0] + 1])
-        pair = jordan_decompose(g)
-        if pair.neg.evaluate(y) == 0.0 and pair.pos.evaluate(y) > 0.0:
-            w2 = detect_case2(f_work, g, y)
-            if w2 is not None:
-                candidates.append((w2.y, 1, w2))
-
-    # every structural point from the edge on, plus inner points of each
-    # piece past the edge when g is sloped
-    scan_points = pts[1:][pts[1:] >= edge]
-    sloped = not g.linear.is_constant()
-    if sloped:
-        inner = np.linspace(pts[:-1], pts[1:], SEGMENT_SAMPLES + 2, axis=1)[:, 1:-1].ravel()
-        scan_points = np.union1d(scan_points, inner[inner > edge])
-    scan = curve(f_work, g, scan_points)
-    for i in np.flatnonzero(np.isin(scan.ys, scan_points) & (scan.values > 0.0)):
-        lower = float(scan.values[i])  # exact: the curve's bounds are 0 here
-        if lower > slack(lower):
-            y = float(scan.ys[i])
-            candidates.append((y, 2, PositivityWitness(y, lower, "scan")))
-            break
-
-    if not candidates:
-        if not sloped:
-            raise InternalInconsistencyError(
-                "no positive upper limit found on a pure-jump instance that "
-                "satisfies every precondition; this contradicts the guarantee "
-                "for bounded-variation integrands and indicates a bug"
-            )
-        raise InconclusiveScan(
-            "no witness at the scanned points; a positive stretch may hide "
-            "between them", tuple(scan_points.tolist())
+    ys = pts[1:][pts[1:] >= edge]
+    k = int(np.searchsorted(pts, edge, side="right")) - 1  # the piece holding the edge
+    if not g.linear.is_constant() and k + 1 < len(pts):
+        inner = np.linspace(pts[k], pts[k + 1], SEGMENT_SAMPLES + 2)[1:-1]
+        ys = np.union1d(ys, inner[inner > edge])
+    j = curve(f_work, g, ys)
+    # exact values (the curve's bounds are 0 here); slack is elementwise on one array
+    hits = np.flatnonzero(np.isin(j.ys, ys) & (j.values > slack(j.values)))
+    if not hits.size:
+        raise InternalInconsistencyError(
+            "no positive upper limit found from the support edge on, on an "
+            "instance that satisfies every precondition; this contradicts the "
+            "guarantee for bounded-variation integrands and indicates a bug"
         )
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    best = candidates[0][2]
+    y, lower = float(j.ys[hits[0]]), float(j.values[hits[0]])
+    witness = PositivityWitness(y, lower, "scan")
+
+    start = prof.values[0]
+    moved = np.flatnonzero((prof.left[1:] != start) | (prof.values[1:] != start)) + 1
+    m = int(moved[0])  # J(y) > 0, so g has moved by y
+    if y == pts[m]:
+        jump, rise = prof.values[m] - prof.left[m], prof.left[m] - start
+        if jump >= 0.0 and rise >= 0.0:  # only up so far: pos(y) = jump + rise
+            bound = float(jump + rise) * f_work.min_value(a, y)
+            if bound > slack(bound):
+                witness = PositivityWitness(y, bound, "case2")
     # right-continuous integrator: the integral stays positive on a whole
     # stretch past the witness; attach it when one can be certified
     try:
-        return replace(best, interval=_positive_stretch(g, scan, best))
+        return replace(witness, interval=_positive_stretch(g, j, witness))
     except PreconditionError:
-        return best
+        return witness
 
 
 def _exact_form(f) -> PiecewiseLinear:

@@ -262,6 +262,26 @@ class TestSearchPositiveCommand:
         assert "no_bv_coverage" in err
         assert "unbounded-variation" in err
 
+    def test_smooth_integrand_on_monotone_step_has_no_variation_diagnostic(
+            self, tmp_path, capsys):
+        # sin(x)+2 has bounded variation: its sampled variation does not grow
+        doc = dict(BRICK_DOC, piece_values=[0.0, 0.3], end_value=0.3)
+        path = write_doc(tmp_path, doc)
+        code = main(["search-positive", "--f", "sin(x)+2", "--g", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_PRECONDITION
+        assert "no_bv_coverage" in err
+        assert "unbounded-variation" not in err
+
+    def test_constant_on_ramp_scans_the_edge_piece(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {"type": "piecewise_linear", "knots": [[0, 0], [1, 1]]})
+        code = main(["search-positive", "--f", "2", "--g", path])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "y=0.1111111111111111" in out
+        assert "method=scan" in out
+        assert "interval=[0.1111111111111111,1.0]" in out
+
     def test_vanishing_integrator_exits_6(self, tmp_path):
         doc = dict(BRICK_DOC, piece_values=[0.0, 0.0], end_value=0.0)
         path = write_doc(tmp_path, doc)

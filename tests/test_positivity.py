@@ -15,6 +15,7 @@ from rscert.funcspec import IntegrandSpec, Lipschitz, Sampled, parse
 from rscert.stieltjes import rs_bv, rs_jump_exact
 from rscert.counterexample import build_counterexample, power_sine_family, POWER_SINE_UPPER_BOUND
 from rscert.positivity import (
+    InternalInconsistencyError,
     PreconditionError,
     detect_case1,
     detect_case2,
@@ -372,6 +373,9 @@ class TestFindPositiveY:
             f = sampling.random_positive_pl(rng, interval)
             g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
             w = find_positive_y(f, g)
+            # g jumps up off zero at its support edge
+            assert w.y == support_edge(g)
+            assert w.method == "case2"
             # oracle: the maximum of J over jump points must be positive too
             best = max(
                 rs_jump_exact(f, g.step, p).value
@@ -383,7 +387,6 @@ class TestFindPositiveY:
             assert r.value - r.error_bound >= w.lower_bound - slack(w.lower_bound)
 
     def test_smallest_y_wins(self):
-        # case2 at the first jump (0.5) must beat case1's 0.5 + eps
         f = const_pl(1.0)
         g = BVFunction.from_step(StepFunction(UNIT, (0.5,), (0.0, 1.0), 1.0))
         w = find_positive_y(f, g)
@@ -408,6 +411,9 @@ class TestFindPositiveY:
             rising = PiecewiseLinear(tuple(zip(lin.xs, np.cumsum((0.0,) + lin.ys[1:]))))
             g = BVFunction(sampling.random_nonnegative_step(rng, interval), rising)
             w = find_positive_y(f, g)
+            # the witness lies in the piece that holds the support edge
+            edge = support_edge(g)
+            assert w.y <= min(q for q in g.structural_points() if q > edge)
             r = rs_bv(f, g, w.y)
             assert 0.0 < w.lower_bound <= r.value + slack(r.value)
             if w.interval is None:
@@ -422,6 +428,20 @@ class TestFindPositiveY:
                     left = value - f.evaluate(q) * (g.evaluate(q) - g.left_limit(q))
                     assert left > 0.0
         assert intervals > 100
+
+    @pytest.mark.xfail(
+        strict=True, raises=InternalInconsistencyError,
+        reason="every certified sign decision asks x > slack(x), an absolute "
+        "threshold near 1e-9 below magnitude 1, so a witness whose integral "
+        "is at most 1e-9 is never certified, whatever the scale of g",
+    )
+    @pytest.mark.parametrize("g", [
+        BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0)).scaled(1e-9),
+        BVFunction.from_linear(PiecewiseLinear(((0.0, 0.0), (1.0, 1e-9)))),
+    ], ids=["brick", "ramp"])
+    def test_witness_is_scale_covariant(self, g):
+        w = find_positive_y(const_pl(1.0), g)
+        assert w.lower_bound > 0.0
 
     def test_witness_carries_certified_interval(self):
         f = const_pl(1.0)
