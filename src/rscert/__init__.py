@@ -28,8 +28,6 @@ from .funcspec import (
     Lipschitz,
     ParseError,
     Sampled,
-    check_positive,
-    estimate_modulus,
     format_expr,
     parse,
 )

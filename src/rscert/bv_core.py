@@ -8,7 +8,9 @@ is the pointwise sum of one of each. Evaluation, one-sided limits (at one
 point, or at every structural point at once through ``BVFunction.profile``),
 jump extraction, total variation and the Jordan split into non-decreasing
 parts are all read off the representation exactly; the only sampled (inexact)
-operation is ``sampled_total_variation``, a lower-bound diagnostic.
+operation is ``sampled_total_variation``, a lower-bound diagnostic. As an
+integrand, PiecewiseLinear implements the protocol described in funcspec,
+with an exact modulus and exact extremes (RangeBounds).
 """
 
 from __future__ import annotations
@@ -73,6 +75,19 @@ class Interval:
             raise DomainError(
                 f"[{c}, {d}] is not a sub-interval of [{self.a}, {self.b}]"
             )
+
+
+@dataclass(frozen=True)
+class RangeBounds:
+    """Extremes of a continuous integrand on [c, d]: the sampled ones, and
+    enclosing bounds that are certified unless a heuristic modulus padded
+    them (for a piecewise-linear function all four are the exact extremes)."""
+
+    min_sample: float
+    max_sample: float
+    lower: float
+    upper: float
+    certified: bool
 
 
 @dataclass(frozen=True)
@@ -352,6 +367,22 @@ class PiecewiseLinear:
     def is_constant(self) -> bool:
         return all(y == self.ys[0] for y in self.ys)
 
+    # -- the integrand protocol (shared with funcspec.IntegrandSpec) ---------
+
+    heuristic = False  # values, modulus and range are all exact
+
+    def modulus_at(self, delta: float) -> float:
+        """Exact modulus of continuity: the steepest |slope| times delta."""
+        return max((abs(s) for s in self.slopes()), default=0.0) * delta
+
+    def pl_form(self) -> "PiecewiseLinear":
+        return self
+
+    def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
+        """Exact extremes on [c, d]; grid_size is not consulted."""
+        lo, hi = self.min_value(c, d), self.max_value(c, d)
+        return RangeBounds(lo, hi, lo, hi, True)
+
 
 @dataclass(frozen=True)
 class BVFunction:
@@ -436,9 +467,6 @@ class BVFunction:
         for col in columns:
             col.flags.writeable = False
         return StructuralProfile(*columns)
-
-    def is_pure_step(self) -> bool:
-        return self.linear.is_constant()
 
     def __add__(self, other: "BVFunction") -> "BVFunction":
         return BVFunction(self.step + other.step, self.linear + other.linear)

@@ -175,12 +175,10 @@ def integrator_to_doc(g: BVFunction) -> dict:
     linear_doc = {"type": "piecewise_linear", "knots": [list(k) for k in g.linear.knots]}
     step_trivial = g.step.is_zero()
     linear_trivial = g.linear.is_constant() and g.linear.ys[0] == 0.0
-    if step_trivial and not linear_trivial:
+    if linear_trivial:
+        return step_doc
+    if step_trivial:
         return linear_doc
-    if linear_trivial and not step_trivial:
-        return step_doc
-    if step_trivial and linear_trivial:
-        return step_doc
     return {"type": "sum", "parts": [step_doc, linear_doc]}
 
 
@@ -195,11 +193,11 @@ def load_integrator(path: str) -> BVFunction:
     return integrator_from_doc(doc)
 
 
-def integrand_from_text(text: str, domain: Interval) -> IntegrandSpec:
+def integrand_from_text(text: str, interval: Interval) -> IntegrandSpec:
     """Parse --f text on the integrator's interval, with a heuristic Sampled
     modulus. Affine expressions never consult it: the integration and the
     witness search take their exact piecewise-linear form."""
-    return IntegrandSpec(parse(text), domain, Sampled(resolution=2**16, safety_factor=1.5))
+    return IntegrandSpec(parse(text), interval, Sampled(resolution=2**16, safety_factor=1.5))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from .funcspec import (
     Call,
     Literal,
     Power,
-    integrand_is_heuristic,
-    integrand_range,
     integrand_values,
 )
 from .stieltjes import curve
@@ -161,7 +159,7 @@ def power_sine_family(gamma: float) -> tuple[IntegrandSpec, OscillationFamily]:
     )
     spec = IntegrandSpec(
         expr=expr,
-        domain=Interval(0.0, 1.0),
+        interval=Interval(0.0, 1.0),
         modulus=Sampled(resolution=2**17, safety_factor=1.5),
         removable_value_at=(0.0, 2.0),
     )
@@ -189,7 +187,7 @@ def validate_family(f: IntegrandSpec, fam: OscillationFamily, count: int) -> Fam
     if count < 1:
         raise DomainError("count must be at least 1")
     a = fam.accumulation_point
-    b = f.domain.b
+    b = f.interval.b
     troughs, crests = _family_points(fam, count)
 
     if not crests[0] <= b:
@@ -340,10 +338,9 @@ def _empirical_threshold(records: tuple[IndexRecord, ...]) -> int | None:
 def _resolve_f_sup(f: IntegrandSpec, f_sup: float | None) -> float | None:
     if f_sup is not None:
         return float(f_sup)
-    if integrand_is_heuristic(f):
+    if f.heuristic:
         return None
-    bounds = integrand_range(f, f.domain.a, f.domain.b, 4097)
-    return bounds.upper if bounds.certified else None
+    return f.enclose(f.interval.a, f.interval.b, 4097).upper
 
 
 _TRUNCATION_NOTE = (
@@ -397,7 +394,7 @@ def build_counterexample(
         chosen = force_threshold
     else:
         chosen = threshold
-    g = build_bricks(fam, beta, truncation, interval=f.domain, first=chosen)
+    g = build_bricks(fam, beta, truncation, interval=f.interval, first=chosen)
     params = CounterexampleParams(beta=beta, truncation=truncation, threshold=chosen)
     cert = _certify(f, g, fam, params, f_sup, records, remainder, report.ok)
     return g, params, cert

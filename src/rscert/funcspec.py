@@ -3,24 +3,29 @@
 The grammar covers exactly what the package's integrands need: literals, the
 variable x, the four arithmetic operators, powers with a constant exponent,
 sin and cos, and unary minus. An IntegrandSpec bundles a parsed expression
-with its domain, an optional removable-singularity fill and a declared
+with its interval, an optional removable-singularity fill and a declared
 modulus of continuity; the modulus is what turns mesh sizes into certified
 integration error bounds downstream. Lipschitz and Hoelder moduli certify;
 a Sampled modulus is an empirical estimate and is flagged heuristic wherever
 it contributes.
+
+IntegrandSpec and bv_core.PiecewiseLinear implement one integrand protocol,
+which is all the other layers ask of a continuous integrand: ``interval``,
+``evaluate_array``, ``modulus_at(delta)``, ``heuristic``, ``pl_form()`` (an
+exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
+on [c, d]).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .bv_core import DomainError, Interval, PiecewiseLinear
+from .bv_core import DomainError, Interval, PiecewiseLinear, RangeBounds
 
 __all__ = [
     "ParseError",
@@ -40,17 +45,8 @@ __all__ = [
     "Sampled",
     "ModulusDescriptor",
     "IntegrandSpec",
-    "estimate_modulus",
-    "check_positive",
-    "PositivityReport",
-    "RangeBounds",
-    "integrand_interval",
     "integrand_values",
     "integrand_modulus",
-    "integrand_is_heuristic",
-    "integrand_range",
-    "pl_coverage",
-    "affine_pl_form",
 ]
 
 
@@ -453,7 +449,7 @@ ModulusDescriptor = Union[Lipschitz, Hoelder, Sampled]
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """A continuous integrand: expression, domain, optional removable fill, modulus.
+    """A continuous integrand: expression, interval, optional removable fill, modulus.
 
     The removable fill is declared, never detected: evaluation returns the
     stored value when x matches the singular point exactly and the expression
@@ -461,25 +457,25 @@ class IntegrandSpec:
     """
 
     expr: Expr
-    domain: Interval
+    interval: Interval
     modulus: ModulusDescriptor
     removable_value_at: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.removable_value_at is not None:
             point, value = self.removable_value_at
-            self.domain.require(point, "removable-singularity point")
+            self.interval.require(point, "removable-singularity point")
             object.__setattr__(self, "removable_value_at", (float(point), float(value)))
 
     def evaluate(self, x: float) -> float:
-        self.domain.require(x)
+        self.interval.require(x)
         if self.removable_value_at is not None and x == self.removable_value_at[0]:
             return self.removable_value_at[1]
         return _eval_scalar(self.expr, x)
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < self.domain.a or xs.max() > self.domain.b):
+        if xs.size and (xs.min() < self.interval.a or xs.max() > self.interval.b):
             raise DomainError("points outside the integrand's domain")
         values, bad = _eval_array(self.expr, xs)
         if self.removable_value_at is not None:
@@ -496,150 +492,90 @@ class IntegrandSpec:
         cache = self.__dict__.setdefault("_modulus_grid_cache", {})
         vals = cache.get(resolution)
         if vals is None:
-            xs = np.linspace(self.domain.a, self.domain.b, resolution + 1)
+            xs = np.linspace(self.interval.a, self.interval.b, resolution + 1)
             vals = self.evaluate_array(xs)
             cache[resolution] = vals
         return vals
 
+    @property
+    def heuristic(self) -> bool:
+        """True when the modulus is an empirical (Sampled) estimate."""
+        return isinstance(self.modulus, Sampled)
+
+    def modulus_at(self, delta: float) -> float:
+        """Upper estimate for sup{|f(u)-f(v)| : |u-v| <= delta}.
+
+        Exact formula for Lipschitz/Hoelder descriptors; for Sampled, the
+        largest oscillation over grid windows of span <= delta, times the
+        safety factor (heuristic, and flagged as such downstream).
+        Non-decreasing in delta.
+        """
+        if not (0.0 < delta <= self.interval.length):
+            raise DomainError(f"delta must be in (0, {self.interval.length}], got {delta!r}")
+        m = self.modulus
+        if isinstance(m, Lipschitz):
+            return m.constant * delta
+        if isinstance(m, Hoelder):
+            return m.constant * delta**m.exponent
+        h = self.interval.length / m.resolution
+        width = int(math.floor(delta / h + 1e-9))
+        return _window_oscillation(self._grid_values(m.resolution), width) * m.safety_factor
+
+    def pl_form(self) -> PiecewiseLinear | None:
+        """Exact piecewise-linear form of a syntactically affine expression,
+        else None (no bounded-variation guarantee downstream)."""
+        coeffs = _affine_coefficients(self.expr)
+        if coeffs is None:
+            return None
+        c0, c1 = coeffs
+        a, b = self.interval.a, self.interval.b
+        return PiecewiseLinear(((a, c0 + c1 * a), (b, c0 + c1 * b)))
+
+    def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
+        """min/max samples on [c, d], padded by omega(mesh) into bounds that
+        are certified unless the modulus is heuristic."""
+        self.interval.require_subinterval(c, d)
+        if grid_size < 2:
+            raise DomainError("grid_size must be at least 2")
+        if c == d:
+            v = self.evaluate(c)
+            return RangeBounds(v, v, v, v, not self.heuristic)
+        vals = self.evaluate_array(np.linspace(c, d, grid_size))
+        pad = self.modulus_at((d - c) / (grid_size - 1))  # the mesh, <= the length
+        lo, hi = float(vals.min()), float(vals.max())
+        return RangeBounds(lo, hi, lo - pad, hi + pad, not self.heuristic)
+
 
 def _window_oscillation(values: np.ndarray, width: int) -> float:
-    """max over sliding windows of (window max - window min), width+1 points."""
+    """max over sliding windows of (window max - window min), width+1 points.
+
+    van Herk / Gil-Werman: cut the values into blocks of width+1 points; a
+    window spans at most two blocks, so its extremum is that of a suffix of
+    one block and a prefix of the next, each read off one accumulate pass.
+    """
     if width <= 0:
         return 0.0
-    width = min(width, len(values) - 1)
-    maxq: deque[int] = deque()
-    minq: deque[int] = deque()
-    best = 0.0
-    for i, v in enumerate(values):
-        while maxq and values[maxq[-1]] <= v:
-            maxq.pop()
-        maxq.append(i)
-        while minq and values[minq[-1]] >= v:
-            minq.pop()
-        minq.append(i)
-        lo = i - width
-        if maxq[0] < lo:
-            maxq.popleft()
-        if minq[0] < lo:
-            minq.popleft()
-        if i >= width:
-            best = max(best, values[maxq[0]] - values[minq[0]])
-    return float(best)
+    n = len(values)
+    w = min(width, n - 1) + 1
+    blocks = -(-n // w)
+    extremes = []
+    for extremum, fill in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+        padded = np.concatenate([values, np.full(blocks * w - n, fill)]).reshape(blocks, w)
+        prefix = extremum.accumulate(padded, axis=1).ravel()
+        suffix = extremum.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
+        extremes.append(extremum(suffix[: n - w + 1], prefix[w - 1 : n]))
+    return float((extremes[0] - extremes[1]).max())
 
 
-def estimate_modulus(spec: IntegrandSpec, delta: float) -> float:
-    """Upper estimate for sup{|f(u)-f(v)| : |u-v| <= delta}.
-
-    Exact formula for Lipschitz/Hoelder descriptors; for Sampled, the largest
-    oscillation over grid windows of span <= delta, times the safety factor
-    (heuristic, and flagged as such downstream). Non-decreasing in delta.
-    """
-    if not (0.0 < delta <= spec.domain.length):
-        raise DomainError(f"delta must be in (0, {spec.domain.length}], got {delta!r}")
-    m = spec.modulus
-    if isinstance(m, Lipschitz):
-        return m.constant * delta
-    if isinstance(m, Hoelder):
-        return m.constant * delta**m.exponent
-    h = spec.domain.length / m.resolution
-    width = int(math.floor(delta / h + 1e-9))
-    values = spec._grid_values(m.resolution)
-    return _window_oscillation(values, width) * m.safety_factor
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Grid minimum plus the certified lower bound it implies (if any)."""
-
-    min_sample: float
-    certified: bool
-    lower_bound: float
-
-
-def check_positive(spec: IntegrandSpec, grid_size: int) -> PositivityReport:
-    """Grid minimum of the integrand; certified only when a non-heuristic
-    modulus proves min_sample - omega(mesh) > 0."""
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
-    bounds = integrand_range(spec, spec.domain.a, spec.domain.b, grid_size)
-    return PositivityReport(
-        min_sample=bounds.min_sample,
-        certified=bounds.certified and bounds.lower > 0.0,
-        lower_bound=bounds.lower,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Integrand dispatch: IntegrandSpec and PiecewiseLinear are interchangeable
-# wherever a continuous integrand is required; piecewise-linear integrands
-# take the exact paths (their modulus is the exact Lipschitz one).
-# ---------------------------------------------------------------------------
-
-
-def integrand_interval(f) -> Interval:
-    if isinstance(f, IntegrandSpec):
-        return f.domain
-    if isinstance(f, PiecewiseLinear):
-        return f.interval
-    raise TypeError(f"not an integrand: {type(f).__name__}")
-
-
+# perfbench/tracing.py wraps these two by name, for its per-layer spans
+# funcspec.integrand_values and funcspec.integrand_modulus; keep them, and
+# keep stieltjes calling them rather than the methods.
 def integrand_values(f, xs) -> np.ndarray:
     return np.asarray(f.evaluate_array(np.asarray(xs, dtype=float)), dtype=float)
 
 
 def integrand_modulus(f, delta: float) -> float:
-    if isinstance(f, IntegrandSpec):
-        return estimate_modulus(f, delta)
-    if isinstance(f, PiecewiseLinear):
-        steepest = max((abs(s) for s in f.slopes()), default=0.0)
-        return steepest * delta
-    raise TypeError(f"not an integrand: {type(f).__name__}")
-
-
-def integrand_is_heuristic(f) -> bool:
-    return isinstance(f, IntegrandSpec) and isinstance(f.modulus, Sampled)
-
-
-@dataclass(frozen=True)
-class RangeBounds:
-    """Sampled extrema of an integrand on [c, d] plus certified enclosures."""
-
-    min_sample: float
-    max_sample: float
-    lower: float
-    upper: float
-    certified: bool
-
-
-def integrand_range(f, c: float, d: float, grid_size: int = 513) -> RangeBounds:
-    """min/max samples on [c, d] with modulus-padded enclosing bounds.
-
-    Exact (certified, zero padding) for piecewise-linear integrands; for
-    expressions the padding is omega(mesh) and certification requires a
-    non-heuristic modulus.
-    """
-    interval = integrand_interval(f)
-    interval.require_subinterval(c, d)
-    if isinstance(f, PiecewiseLinear):
-        lo, hi = f.min_value(c, d), f.max_value(c, d)
-        return RangeBounds(lo, hi, lo, hi, True)
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
-    if c == d:
-        v = f.evaluate(c)
-        return RangeBounds(v, v, v, v, not integrand_is_heuristic(f))
-    xs = np.linspace(c, d, grid_size)
-    vals = integrand_values(f, xs)
-    mesh = (d - c) / (grid_size - 1)
-    pad = integrand_modulus(f, min(mesh, interval.length))
-    return RangeBounds(
-        float(vals.min()),
-        float(vals.max()),
-        float(vals.min()) - pad,
-        float(vals.max()) + pad,
-        not integrand_is_heuristic(f),
-    )
+    return f.modulus_at(delta)
 
 
 def _affine_coefficients(e: Expr) -> tuple[float, float] | None:
@@ -689,29 +625,4 @@ def _affine_coefficients(e: Expr) -> tuple[float, float] | None:
             return None
         fn = math.sin if e.func == "sin" else math.cos
         return (fn(arg[0]), 0.0)
-    return None
-
-
-def affine_pl_form(spec: IntegrandSpec) -> PiecewiseLinear | None:
-    """Exact piecewise-linear form of a syntactically affine expression."""
-    coeffs = _affine_coefficients(spec.expr)
-    if coeffs is None:
-        return None
-    c0, c1 = coeffs
-    a, b = spec.domain.a, spec.domain.b
-    return PiecewiseLinear(((a, c0 + c1 * a), (b, c0 + c1 * b)))
-
-
-def pl_coverage(f) -> PiecewiseLinear | None:
-    """A piecewise-linear representation of f, when one is available.
-
-    Piecewise-linear integrands are their own coverage; expression integrands
-    are covered only when syntactically affine. Anything else returns None,
-    which downstream positivity searches treat as "no bounded-variation
-    guarantee".
-    """
-    if isinstance(f, PiecewiseLinear):
-        return f
-    if isinstance(f, IntegrandSpec):
-        return affine_pl_form(f)
     return None

@@ -29,7 +29,6 @@ from .bv_core import (
     jordan_decompose,
     slack,
 )
-from .funcspec import integrand_interval, integrand_range, pl_coverage
 from .stieltjes import IntegralCurve, _clipped_pieces, curve, rs_pl_integrator_exact
 
 __all__ = [
@@ -269,7 +268,7 @@ def detect_case1(g, f, grid_size: int = 1025) -> PositivityWitness | None:
     pos_y = pair.pos.evaluate(y)
     neg_y = pair.neg.evaluate(y)
     window_lo = max(g.interval.a, edge - eps)
-    bounds = integrand_range(f, window_lo, y, grid_size)
+    bounds = f.enclose(window_lo, y, grid_size)
     if not bounds.certified:
         return None
     lower = pos_y * bounds.lower - neg_y * bounds.upper
@@ -292,7 +291,7 @@ def detect_case2(f, g, y: float, grid_size: int = 1025) -> PositivityWitness | N
     pos_y = pair.pos.evaluate(y)
     if not pos_y > 0.0:
         return None
-    bounds = integrand_range(f, g.interval.a, y, grid_size)
+    bounds = f.enclose(g.interval.a, y, grid_size)
     if not bounds.certified or not bounds.lower > 0.0:
         return None
     lower = pos_y * bounds.lower
@@ -407,7 +406,7 @@ def find_positive_y(f, g) -> PositivityWitness:
     """
     g = as_bv_function(g)
     a = g.interval.a
-    if integrand_interval(f) != g.interval:
+    if f.interval != g.interval:
         raise PreconditionError("integrand and integrator must share one interval")
 
     if abs(g.evaluate(a)) > slack(g.evaluate(a)):
@@ -462,7 +461,7 @@ def find_positive_y(f, g) -> PositivityWitness:
 
 
 def _exact_form(f) -> PiecewiseLinear:
-    cover = pl_coverage(f)
+    cover = f.pl_form()
     if cover is None:
         raise PreconditionError(
             "the integrand has no exact piecewise-linear (bounded-variation) "

@@ -25,13 +25,7 @@ from .bv_core import (
     StepFunction,
     as_bv_function,
 )
-from .funcspec import (
-    integrand_interval,
-    integrand_is_heuristic,
-    integrand_modulus,
-    integrand_values,
-    pl_coverage,
-)
+from .funcspec import integrand_modulus, integrand_values
 
 __all__ = [
     "IntegralResult",
@@ -118,7 +112,7 @@ def _integrate_over_pieces(f, pieces, tol: float) -> IntegralResult:
     if not pieces:
         return IntegralResult(0.0, 0.0, True)
 
-    domain_len = integrand_interval(f).length
+    domain_len = f.interval.length
 
     def bound_at(width: float) -> float:
         total = 0.0
@@ -153,7 +147,7 @@ def _integrate_over_pieces(f, pieces, tol: float) -> IntegralResult:
             total,
             best_bound,
         )
-    return IntegralResult(total, best_bound, not integrand_is_heuristic(f))
+    return IntegralResult(total, best_bound, not f.heuristic)
 
 
 def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -> IntegralResult:
@@ -214,9 +208,9 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
     f_vals = integrand_values(f, mids)
     value = float(f_vals @ np.diff(g_vals))
     actual_mesh = float(np.diff(cuts).max())
-    bound = integrand_modulus(f, min(actual_mesh, integrand_interval(f).length))
+    bound = integrand_modulus(f, min(actual_mesh, f.interval.length))
     bound *= g.total_variation(a, y)
-    return IntegralResult(value, bound, not integrand_is_heuristic(f))
+    return IntegralResult(value, bound, not f.heuristic)
 
 
 def rs_pl_integrator_exact(values_of, f: PiecewiseLinear, y: float) -> IntegralResult:
@@ -292,13 +286,13 @@ def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[n
     bound, and whether the bound is certified.
 
     The one place that picks the exact path. When f has an exact
-    piecewise-linear form (pl_coverage), the cuts merge a, the ys and the
+    piecewise-linear form (f.pl_form()), the cuts merge a, the ys and the
     knots of that form and of lin, so both are affine on every cut interval
     and each increment is exactly (lin(x1) - lin(x0)) * (f(x0) + f(x1)) / 2,
     with no modulus consulted. Other integrands get one certified quadrature
     per stretch between consecutive ys.
     """
-    exact = pl_coverage(f)
+    exact = f.pl_form()
     if exact is None:
         segs = [
             _integrate_over_pieces(f, _clipped_pieces(lin, lo, hi), tol)

@@ -82,7 +82,7 @@ def test_criterion_1_counterexample_certification(family):
 def test_criterion_2_partial_integral_identity(family):
     with criterion(2, "partial integrals match exact jump integration at 200 indices"):
         f, fam = family
-        h = build_bricks(fam, BETA, N, interval=f.domain)
+        h = build_bricks(fam, BETA, N, interval=f.interval)
         _, _, cert = build_counterexample(f, fam, BETA, N, f_sup=POWER_SINE_UPPER_BOUND)
         rng = sampling.make_rng(202)
         indices = sorted(set(int(n) for n in rng.integers(1, N + 1, size=200)))

@@ -74,7 +74,7 @@ class TestSpecFiles:
         doc = {"type": "counterexample", "gamma": 0.5, "beta": 1.5,
                "truncation": 50, "threshold": 7}
         g = integrator_from_doc(doc)
-        assert g.is_pure_step()
+        assert g.linear.is_constant()
         assert len(g.step.breakpoints) == 2 * (50 - 7 + 1)
         assert max(g.step.piece_values) == pytest.approx(7.0 ** -1.5)
 

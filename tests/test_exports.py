@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -31,3 +32,21 @@ def test_package_imports_resolve_to_public_names():
             assert hasattr(rscert, alias.asname or alias.name)
             if public is not None:
                 assert alias.name in public, f"{node.module}.{alias.name} is not public"
+
+
+def _tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    """The benchmark's tracer wraps these by name; each must still exist."""
+    tracing = _tracing()
+    for _, module, attr, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+    for _, module, cls_name, attr, _ in tracing.METHODS:
+        cls = getattr(importlib.import_module(module), cls_name, None)
+        assert callable(getattr(cls, attr, None)), f"{module}.{cls_name}.{attr}"

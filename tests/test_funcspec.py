@@ -19,14 +19,10 @@ from rscert.funcspec import (
     Power,
     Sampled,
     X,
-    affine_pl_form,
-    check_positive,
-    estimate_modulus,
+    _window_oscillation,
     format_expr,
     integrand_modulus,
-    integrand_range,
     parse,
-    pl_coverage,
 )
 from rscert.counterexample import power_sine_family
 from rscert import sampling
@@ -34,8 +30,8 @@ from rscert import sampling
 UNIT = Interval(0.0, 1.0)
 
 
-def spec_of(text, modulus=None, removable=None, domain=UNIT):
-    return IntegrandSpec(parse(text), domain, modulus or Lipschitz(0.0), removable)
+def spec_of(text, modulus=None, removable=None, interval=UNIT):
+    return IntegrandSpec(parse(text), interval, modulus or Lipschitz(0.0), removable)
 
 
 class TestParser:
@@ -167,7 +163,7 @@ class TestEvaluation:
         assert "0.0" in str(err.value)
 
     def test_negative_base_fractional_power(self):
-        spec = spec_of("(x-1)^0.5", domain=Interval(0.0, 2.0))
+        spec = spec_of("(x-1)^0.5", interval=Interval(0.0, 2.0))
         with pytest.raises(EvaluationError):
             spec.evaluate(0.5)
         assert spec.evaluate(1.0) == 0.0
@@ -196,27 +192,27 @@ class TestEvaluation:
 class TestModulus:
     def test_lipschitz_formula(self):
         spec = spec_of("x", modulus=Lipschitz(3.0))
-        assert estimate_modulus(spec, 0.1) == pytest.approx(0.3)
+        assert spec.modulus_at(0.1) == pytest.approx(0.3)
 
     def test_hoelder_formula(self):
         spec = spec_of("x", modulus=Hoelder(2.0, 0.5))
-        assert estimate_modulus(spec, 0.25) == pytest.approx(1.0)
+        assert spec.modulus_at(0.25) == pytest.approx(1.0)
 
     def test_constant_sampled_is_zero(self):
         spec = spec_of("2", modulus=Sampled(1024, 2.0))
-        assert estimate_modulus(spec, 0.1) == 0.0
+        assert spec.modulus_at(0.1) == 0.0
 
     def test_delta_validation(self):
         spec = spec_of("x", modulus=Lipschitz(1.0))
         with pytest.raises(DomainError):
-            estimate_modulus(spec, 0.0)
+            spec.modulus_at(0.0)
         with pytest.raises(DomainError):
-            estimate_modulus(spec, 2.0)
+            spec.modulus_at(2.0)
 
     def test_monotone_in_delta(self):
         f, _ = power_sine_family(0.5)
         deltas = np.logspace(-4, -0.5, 25)
-        values = [estimate_modulus(f, float(d)) for d in deltas]
+        values = [f.modulus_at(float(d)) for d in deltas]
         assert all(v1 >= v0 for v0, v1 in zip(values, values[1:]))
 
     def test_sampled_oscillation_pinned(self):
@@ -224,9 +220,9 @@ class TestModulus:
         # any window of span 0.01 inside [0, 1], estimated on the same grid
         f_small, _ = power_sine_family(0.5)
         spec = IntegrandSpec(
-            f_small.expr, f_small.domain, Sampled(10**6, 1.5), f_small.removable_value_at
+            f_small.expr, f_small.interval, Sampled(10**6, 1.5), f_small.removable_value_at
         )
-        got = estimate_modulus(spec, 0.01)
+        got = spec.modulus_at(0.01)
         xs = np.linspace(0.0, 1.0, 10**6 + 1)
         vals = spec.evaluate_array(xs)
         width = 10**4  # 0.01 / (1/10^6)
@@ -240,34 +236,82 @@ class TestModulus:
 
     def test_pl_modulus_is_exact_lipschitz(self):
         f = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
-        assert integrand_modulus(f, 0.25) == pytest.approx(0.5)
+        assert f.modulus_at(0.25) == pytest.approx(0.5)
+        assert integrand_modulus(f, 0.25) == f.modulus_at(0.25)
+
+
+class TestWindowOscillation:
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_equals_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=int(rng.integers(40, 200)))
+        n = len(values)
+        for width in (0, 1, 7, n - 1, n + 5):
+            expected = 0.0
+            if width > 0:
+                windows = np.lib.stride_tricks.sliding_window_view(values, min(width, n - 1) + 1)
+                expected = float((windows.max(axis=1) - windows.min(axis=1)).max())
+            assert _window_oscillation(values, width) == expected
+
+
+def _protocol_integrands():
+    f, _ = power_sine_family(0.5)
+    return [
+        PiecewiseLinear(((0.0, 1.0), (0.5, 3.0), (1.0, 0.5))),
+        spec_of("3*x-1", modulus=Lipschitz(3.0)),
+        spec_of("x^2+1", modulus=Lipschitz(2.0)),
+        f,
+    ]
+
+
+class TestIntegrandProtocol:
+    # (heuristic, has an exact piecewise-linear form) per integrand above
+    EXPECTED = [(False, True), (False, True), (False, False), (True, False)]
+
+    @pytest.mark.parametrize("index", range(4), ids=["pl", "affine", "quadratic", "power_sine"])
+    def test_members(self, index):
+        f = _protocol_integrands()[index]
+        heuristic, exact = self.EXPECTED[index]
+        for name in ("interval", "evaluate_array", "modulus_at", "heuristic", "pl_form", "enclose"):
+            assert hasattr(f, name), name
+        assert f.interval == UNIT
+        assert f.heuristic is heuristic
+        assert f.modulus_at(0.25) >= 0.0
+        assert (f.pl_form() is None) is not exact
+        bounds = f.enclose(0.2, 0.7)
+        assert bounds.certified is not heuristic
+        if exact:
+            pl = f.pl_form()
+            assert bounds.lower <= pl.min_value(0.2, 0.7) <= pl.max_value(0.2, 0.7) <= bounds.upper
 
 
 class TestCheckPositive:
+    """Grid positivity on the whole interval, read off enclose."""
+
     def test_constant_two_certified(self):
         spec = spec_of("2", modulus=Lipschitz(0.0))
-        report = check_positive(spec, 16)
-        assert report.min_sample == 2.0
-        assert report.certified
+        bounds = spec.enclose(0.0, 1.0, 16)
+        assert bounds.min_sample == 2.0
+        assert bounds.certified and bounds.lower > 0.0
 
     def test_oscillating_integrand_grid_minimum(self):
         f, _ = power_sine_family(0.5)
-        report = check_positive(f, 4097)
-        assert report.min_sample >= 1.0
-        assert report.min_sample == pytest.approx(1.536685997010431, rel=1e-10)
-        assert not report.certified  # Sampled modulus never certifies
+        bounds = f.enclose(0.0, 1.0, 4097)
+        assert bounds.min_sample >= 1.0
+        assert bounds.min_sample == pytest.approx(1.536685997010431, rel=1e-10)
+        assert not bounds.certified  # Sampled modulus never certifies
 
     def test_identity_not_certified_positive(self):
         spec = spec_of("x", modulus=Lipschitz(1.0))
-        report = check_positive(spec, 64)
-        assert report.min_sample == 0.0
-        assert not report.certified
+        bounds = spec.enclose(0.0, 1.0, 64)
+        assert bounds.min_sample == 0.0
+        assert not (bounds.certified and bounds.lower > 0.0)
 
     def test_positive_affine_certified(self):
         spec = spec_of("x+1", modulus=Lipschitz(1.0))
-        report = check_positive(spec, 64)
-        assert report.certified
-        assert report.lower_bound > 0.9
+        bounds = spec.enclose(0.0, 1.0, 64)
+        assert bounds.certified and bounds.lower > 0.0
+        assert bounds.lower > 0.9
 
 
 class TestOscillationIdentity:
@@ -286,40 +330,40 @@ class TestOscillationIdentity:
 
 class TestAffineDetection:
     def test_affine_forms(self):
-        assert affine_pl_form(spec_of("2")) is not None
-        assert affine_pl_form(spec_of("3*x-1")) is not None
-        assert affine_pl_form(spec_of("(x+1)/2")) is not None
-        assert affine_pl_form(spec_of("sin(1)+x")) is not None
+        assert spec_of("2").pl_form() is not None
+        assert spec_of("3*x-1").pl_form() is not None
+        assert spec_of("(x+1)/2").pl_form() is not None
+        assert spec_of("sin(1)+x").pl_form() is not None
 
     def test_non_affine_forms(self):
-        assert affine_pl_form(spec_of("x^2")) is None
-        assert affine_pl_form(spec_of("sin(x)")) is None
-        assert affine_pl_form(spec_of("1/x")) is None
+        assert spec_of("x^2").pl_form() is None
+        assert spec_of("sin(x)").pl_form() is None
+        assert spec_of("1/x").pl_form() is None
 
     def test_affine_values_match(self):
         spec = spec_of("3*x-1")
-        pl = affine_pl_form(spec)
+        pl = spec.pl_form()
         for x in (0.0, 0.3, 1.0):
             assert pl.evaluate(x) == pytest.approx(spec.evaluate(x))
 
     def test_pl_coverage_dispatch(self):
         pl = PiecewiseLinear(((0.0, 1.0), (1.0, 2.0)))
-        assert pl_coverage(pl) is pl
+        assert pl.pl_form() is pl
         f, _ = power_sine_family(0.5)
-        assert pl_coverage(f) is None
+        assert f.pl_form() is None
 
 
 class TestIntegrandRange:
     def test_pl_exact(self):
         f = PiecewiseLinear(((0.0, 1.0), (0.5, 3.0), (1.0, 0.5)))
-        bounds = integrand_range(f, 0.25, 0.75)
+        bounds = f.enclose(0.25, 0.75)
         assert bounds.certified
         assert bounds.lower == pytest.approx(f.evaluate(0.75))
         assert bounds.upper == pytest.approx(3.0)
 
     def test_expression_padded(self):
         spec = spec_of("x", modulus=Lipschitz(1.0))
-        bounds = integrand_range(spec, 0.0, 1.0, 11)
+        bounds = spec.enclose(0.0, 1.0, 11)
         assert bounds.lower <= 0.0 <= bounds.min_sample
         assert bounds.upper >= 1.0
         assert bounds.certified
