@@ -47,6 +47,13 @@ def _check_finite(name: str, *values: float) -> None:
             raise ConstructionError(f"{name} must be finite, got {v!r}")
 
 
+def _check_finite_array(name: str, values: np.ndarray) -> None:
+    """_check_finite over a float array, naming the first non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConstructionError(f"{name} must be finite, got {values[bad[0]].item()!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [a, b] with a < b, both finite."""
@@ -108,31 +115,34 @@ class StepFunction:
     end_value: float
 
     def __post_init__(self) -> None:
-        bp = tuple(float(p) for p in self.breakpoints)
-        pv = tuple(float(v) for v in self.piece_values)
-        _check_finite("piece value", *pv, self.end_value)
-        _check_finite("breakpoint", *bp)
+        bp = np.asarray(self.breakpoints, dtype=float)
+        pv = np.asarray(self.piece_values, dtype=float)
+        if bp.ndim != 1 or pv.ndim != 1:
+            raise ConstructionError("breakpoints and piece values must be flat sequences")
+        _check_finite_array("piece value", pv)
+        _check_finite("piece value", self.end_value)
+        _check_finite_array("breakpoint", bp)
         if len(pv) != len(bp) + 1:
             raise ConstructionError(
                 f"need one more piece value than breakpoints, got {len(pv)} vs {len(bp)}"
             )
         a, b = self.interval.a, self.interval.b
-        for p, q in zip(bp, bp[1:]):
-            if not p < q:
-                raise ConstructionError(f"breakpoints not strictly increasing at {p!r}")
-        if bp and not (a < bp[0] and bp[-1] <= b):
+        unordered = np.flatnonzero(~(bp[:-1] < bp[1:]))
+        if unordered.size:
+            raise ConstructionError(
+                f"breakpoints not strictly increasing at {bp[unordered[0]].item()!r}"
+            )
+        if bp.size and not (a < bp[0] and bp[-1] <= b):
             raise ConstructionError(f"breakpoints must lie in ({a}, {b}]")
         # A breakpoint at b introduces a piece covering no points; drop it.
-        if bp and bp[-1] == b:
+        if bp.size and bp[-1] == b:
             bp, pv = bp[:-1], pv[:-1]
-        # Merge equal adjacent pieces (canonical form: every stored jump is real).
-        keep_bp, keep_pv = [], [pv[0]]
-        for p, v in zip(bp, pv[1:]):
-            if v != keep_pv[-1]:
-                keep_bp.append(p)
-                keep_pv.append(v)
-        object.__setattr__(self, "breakpoints", tuple(keep_bp))
-        object.__setattr__(self, "piece_values", tuple(keep_pv))
+        # Merge equal adjacent pieces (canonical form: every stored jump is
+        # real). Each run of equal values keeps its first, so comparing every
+        # value with its predecessor equals comparing it with the last kept one.
+        moved = pv[1:] != pv[:-1]
+        object.__setattr__(self, "breakpoints", tuple(bp[moved].tolist()))
+        object.__setattr__(self, "piece_values", tuple(pv[np.append(True, moved)].tolist()))
         object.__setattr__(self, "end_value", float(self.end_value))
 
     @classmethod

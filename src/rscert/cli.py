@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,10 +103,17 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _as_numbers(values, path_of) -> list[float]:
+    """Every element as a float. path_of(i) gives the JSON path of element i;
+    it is called only for the first element that is not a number."""
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SpecFileError(f"expected a number, got {value!r}", path_of(i))
+    return [float(v) for v in values]
+
+
 def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecFileError(f"expected a number, got {value!r}", path)
-    return float(value)
+    return _as_numbers((value,), lambda _: path)[0]
 
 
 def integrator_from_doc(doc, path: str = "$") -> BVFunction:
@@ -118,21 +126,20 @@ def integrator_from_doc(doc, path: str = "$") -> BVFunction:
             a, b = _need(doc, "interval", path)
             interval = Interval(_as_number(a, path + ".interval[0]"),
                                 _as_number(b, path + ".interval[1]"))
-            bp = [_as_number(p, f"{path}.breakpoints[{i}]")
-                  for i, p in enumerate(_need(doc, "breakpoints", path))]
-            pv = [_as_number(v, f"{path}.piece_values[{i}]")
-                  for i, v in enumerate(_need(doc, "piece_values", path))]
+            bp = _as_numbers(_need(doc, "breakpoints", path),
+                             lambda i: f"{path}.breakpoints[{i}]")
+            pv = _as_numbers(_need(doc, "piece_values", path),
+                             lambda i: f"{path}.piece_values[{i}]")
             end = _as_number(_need(doc, "end_value", path), path + ".end_value")
             return BVFunction.from_step(StepFunction(interval, tuple(bp), tuple(pv), end))
         if kind == "piecewise_linear":
             knots = _need(doc, "knots", path)
-            pairs = []
             for i, pair in enumerate(knots):
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                     raise SpecFileError("knot must be an [x, y] pair", f"{path}.knots[{i}]")
-                pairs.append((_as_number(pair[0], f"{path}.knots[{i}][0]"),
-                              _as_number(pair[1], f"{path}.knots[{i}][1]")))
-            return BVFunction.from_linear(PiecewiseLinear(tuple(pairs)))
+            flat = _as_numbers([v for pair in knots for v in pair],
+                               lambda i: f"{path}.knots[{i // 2}][{i % 2}]")
+            return BVFunction.from_linear(PiecewiseLinear(tuple(zip(flat[0::2], flat[1::2]))))
         if kind == "sum":
             parts = _need(doc, "parts", path)
             if not parts:
@@ -221,7 +228,106 @@ def _write_csv(path: str, header: str, rows, metadata: list[str]) -> None:
         raise SpecFileError(str(exc), path) from exc
 
 
-def certificate_to_doc(cert: Certificate, params) -> dict:
+# ---------------------------------------------------------------------------
+# JSON files, streamed
+# ---------------------------------------------------------------------------
+
+_CHUNK = 2048  # list elements or table rows formatted per write
+_INDENT = "  "
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_RECORD_KEYS = ("n", "partial_integral", "tail_lower_bound", "corrected", "negative")
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A JSON list of objects that share their keys, held as one 1-D numpy
+    array per key, so that no object is built to write it."""
+
+    keys: tuple[str, ...]
+    columns: tuple[np.ndarray, ...]
+
+
+def _scalar_texts(values) -> list[str] | None:
+    """What json.dump writes for each scalar of a list or 1-D array, or None
+    when the list holds a container."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == bool:
+            return np.where(values, "true", "false").tolist()
+        if values.dtype.kind in "iu":
+            return list(map(int.__repr__, values.tolist()))
+        values = values.tolist()
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # not all floats
+        if any(isinstance(v, (dict, list, tuple, _Rows)) for v in values):
+            return None
+        return list(map(json.dumps, values))
+    if np.isfinite(values).all():
+        return texts
+    return [_NONFINITE.get(t, t) for t in texts]
+
+
+def _json_pieces(value, level: int):
+    """The text of json.dump(value, fh, indent=2) at nesting depth level,
+    yielded in pieces of at most _CHUNK elements."""
+    inner = "\n" + _INDENT * (level + 1)
+    close = "\n" + _INDENT * level
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _json_pieces(item, level + 1)
+            sep = "," + inner
+        yield close + "}"
+        return
+    if isinstance(value, _Rows):
+        size = len(value.columns[0])
+        if not size:
+            yield "[]"
+            return
+        field = "\n" + _INDENT * (level + 2)
+        row = ("{" + ",".join(f"{field}{json.dumps(k)}: %s" for k in value.keys)
+               + inner + "}")
+        sep = "[" + inner
+        for start in range(0, size, _CHUNK):
+            texts = [_scalar_texts(col[start:start + _CHUNK]) for col in value.columns]
+            yield sep + ("," + inner).join(row % fields for fields in zip(*texts))
+            sep = "," + inner
+        yield close + "]"
+        return
+    if isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        sep = "[" + inner
+        for start in range(0, len(value), _CHUNK):
+            chunk = value[start:start + _CHUNK]
+            texts = _scalar_texts(chunk)
+            if texts is not None:
+                yield sep + ("," + inner).join(texts)
+                sep = "," + inner
+                continue
+            for item in chunk:
+                yield sep
+                yield from _json_pieces(item, level + 1)
+                sep = "," + inner
+        yield close + "]"
+        return
+    yield _scalar_texts([value])[0]
+
+
+def _write_json(path: str, doc) -> None:
+    """Write exactly the bytes of json.dump(doc, fh, indent=2) and a newline,
+    streamed in bounded pieces; _Rows values are written as lists of objects."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_pieces(doc, 0))
+        fh.write("\n")
+
+
+def _certificate_doc(cert: Certificate, params, records) -> dict:
     return {
         "beta": params.beta,
         "truncation": params.truncation,
@@ -235,17 +341,20 @@ def certificate_to_doc(cert: Certificate, params) -> dict:
         "verdict": cert.verdict,
         "truncation_note": cert.truncation_note,
         "step_failures": [list(x) for x in cert.step_failures],
-        "records": [
-            {
-                "n": r.n,
-                "partial_integral": r.partial_integral,
-                "tail_lower_bound": r.tail_lower_bound,
-                "corrected": r.corrected,
-                "negative": r.negative,
-            }
-            for r in cert.records
-        ],
+        "records": records,
     }
+
+
+def _record_rows(cert: Certificate) -> _Rows:
+    return _Rows(_RECORD_KEYS, tuple(getattr(cert.records, key) for key in _RECORD_KEYS))
+
+
+def certificate_to_doc(cert: Certificate, params) -> dict:
+    """The certificate as the JSON document the counterexample verb writes,
+    with one object per index record."""
+    rows = _record_rows(cert)
+    columns = [col.tolist() for col in rows.columns]
+    return _certificate_doc(cert, params, [dict(zip(rows.keys, r)) for r in zip(*columns)])
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +379,9 @@ def cmd_counterexample(args) -> int:
         force_threshold=args.n0,
     )
     if args.out_g:
-        with open(args.out_g, "w", encoding="utf-8") as fh:
-            json.dump(integrator_to_doc(BVFunction.from_step(g)), fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out_g, integrator_to_doc(BVFunction.from_step(g)))
     if args.out_certificate:
-        with open(args.out_certificate, "w", encoding="utf-8") as fh:
-            json.dump(certificate_to_doc(cert, params), fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out_certificate, _certificate_doc(cert, params, _record_rows(cert)))
     print(f"threshold={params.threshold}")
     print(f"empirical_threshold={cert.empirical_threshold}")
     print(f"certified_threshold={cert.certified_threshold}")

@@ -35,7 +35,7 @@ from .stieltjes import curve
 __all__ = [
     "OscillationFamily",
     "CounterexampleParams",
-    "IndexRecord",
+    "IndexRecords",
     "Certificate",
     "FamilyReport",
     "ThresholdNotFound",
@@ -59,7 +59,8 @@ class OscillationFamily:
 
     trough(n) < crest(n) decrease to accumulation_point as n grows, with
     f(crest(n)) - f(trough(n)) >= alpha * n^-gamma. gamma must be in (0, 1)
-    so the oscillations outweigh any summable brick heights.
+    so the oscillations outweigh any summable brick heights. trough and crest
+    take an integer index or, elementwise, an integer array of them.
     """
 
     accumulation_point: float
@@ -89,16 +90,18 @@ class CounterexampleParams:
 
 
 @dataclass(frozen=True)
-class IndexRecord:
-    """Evidence for one index: exact truncated partial integral at trough(n),
-    the analytic infinite-tail lower bound from n, the tail-corrected value
-    (an upper bound for the untruncated partial integral), and its sign."""
+class IndexRecords:
+    """Per-index evidence in read-only columns, entry i for index n = i + 1:
+    the exact truncated partial integral at trough(n), the analytic
+    infinite-tail lower bound from n, the tail-corrected value (an upper bound
+    for the untruncated partial integral), and whether it is certified
+    negative."""
 
-    n: int
-    partial_integral: float
-    tail_lower_bound: float
-    corrected: float
-    negative: bool
+    n: np.ndarray
+    partial_integral: np.ndarray
+    tail_lower_bound: np.ndarray
+    corrected: np.ndarray
+    negative: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class Certificate:
     the truncation horizon.
     """
 
-    records: tuple[IndexRecord, ...]
+    records: IndexRecords
     empirical_threshold: int | None
     certified_threshold: int | None
     remainder_bound: float
@@ -174,11 +177,14 @@ def power_sine_family(gamma: float) -> tuple[IntegrandSpec, OscillationFamily]:
     return spec, family
 
 
-def _family_points(fam: OscillationFamily, count: int) -> tuple[np.ndarray, np.ndarray]:
-    ns = np.arange(1, count + 1)
-    troughs = np.asarray([fam.trough(int(n)) for n in ns], dtype=float)
-    crests = np.asarray([fam.crest(int(n)) for n in ns], dtype=float)
-    return troughs, crests
+def _family_points(fam: OscillationFamily, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """trough(n) and crest(n) at every index of the integer array ns."""
+    return np.asarray(fam.trough(ns), dtype=float), np.asarray(fam.crest(ns), dtype=float)
+
+
+def _negative(values: np.ndarray) -> np.ndarray:
+    """Elementwise values < -slack(values, scale=SIGN_SLACK_SCALE)."""
+    return values < -SIGN_SLACK_SCALE * (1.0 + np.abs(values))
 
 
 def validate_family(f: IntegrandSpec, fam: OscillationFamily, count: int) -> FamilyReport:
@@ -188,7 +194,7 @@ def validate_family(f: IntegrandSpec, fam: OscillationFamily, count: int) -> Fam
         raise DomainError("count must be at least 1")
     a = fam.accumulation_point
     b = f.interval.b
-    troughs, crests = _family_points(fam, count)
+    troughs, crests = _family_points(fam, np.arange(1, count + 1))
 
     if not crests[0] <= b:
         return FamilyReport(False, count, 1, "interleaving",
@@ -233,19 +239,25 @@ def build_bricks(fam: OscillationFamily, beta: float, truncation: int,
         raise DomainError("beta must be positive")
     if not 1 <= first <= truncation:
         raise DomainError("need 1 <= first <= truncation")
-    breakpoints: list[float] = []
-    values: list[float] = [0.0]
-    for n in range(truncation, first - 1, -1):
-        lo, hi = fam.trough(n), fam.crest(n)
-        if not (fam.accumulation_point < lo < hi):
-            raise DomainError(f"interleaving violated at n={n}")
-        if breakpoints and not breakpoints[-1] < lo:
-            raise DomainError(f"bricks overlap at n={n}")
-        breakpoints += [lo, hi]
-        values += [float(n) ** (-beta), 0.0]
+    ns = np.arange(first, truncation + 1)
+    lo, hi = _family_points(fam, ns)
+    interleaved = (fam.accumulation_point < lo) & (lo < hi)
+    # brick n + 1 ends below the start of brick n
+    apart = np.append(hi[1:] < lo[:-1], True)
+    bad = np.flatnonzero(~(interleaved & apart))
+    if bad.size:
+        # the largest offending n: the first violation counting down from truncation
+        i = bad[-1]
+        what = "bricks overlap" if interleaved[i] else "interleaving violated"
+        raise DomainError(f"{what} at n={int(ns[i])}")
+    # descending n: trough(N), crest(N), trough(N - 1), crest(N - 1), ...
+    breakpoints = np.column_stack([lo, hi])[::-1].ravel()
+    values = np.zeros(breakpoints.size + 1)
+    # Python's pow: numpy's vector ** can differ from it in the last bit
+    values[1::2] = [float(n) ** (-beta) for n in range(truncation, first - 1, -1)]
     if interval is None:
-        interval = Interval(fam.accumulation_point, max(fam.crest(first), breakpoints[-1]))
-    return StepFunction(interval, tuple(breakpoints), tuple(values), 0.0)
+        interval = Interval(fam.accumulation_point, float(hi[0]))
+    return StepFunction(interval, breakpoints, values, 0.0)
 
 
 def partial_integral(f: IntegrandSpec, fam: OscillationFamily, beta: float,
@@ -260,7 +272,7 @@ def partial_integral(f: IntegrandSpec, fam: OscillationFamily, beta: float,
     if not 1 <= n <= truncation:
         raise DomainError(f"index {n} outside 1..{truncation}")
     records, _ = _index_records(f, fam, beta, truncation)
-    return records[n - 1].partial_integral
+    return float(records.partial_integral[n - 1])
 
 
 def tail_lower_bound(alpha: float, beta: float, gamma: float, n: int) -> float:
@@ -294,45 +306,36 @@ def certified_threshold(f_sup: float, alpha: float, beta: float, gamma: float,
 
 
 def _index_records(f: IntegrandSpec, fam: OscillationFamily, beta: float,
-                   truncation: int) -> tuple[tuple[IndexRecord, ...], float]:
+                   truncation: int) -> tuple[IndexRecords, float]:
     """Per-index evidence via one vectorized pass (suffix sums over the bricks)."""
-    ns = np.arange(1, truncation + 1, dtype=float)
-    troughs, crests = _family_points(fam, truncation)
+    remainder = tail_lower_bound(fam.alpha, beta, fam.gamma, truncation)
+    ns = np.arange(1, truncation + 1)
+    troughs, crests = _family_points(fam, ns)
     f_troughs = integrand_values(f, troughs)
     rises = integrand_values(f, crests) - f_troughs
-    weighted = ns ** (-beta) * rises
+    heights = ns.astype(float) ** (-beta)
     # suffix[i] = sum of weighted[i+1:], the truncated tail past index i+1
-    suffix = np.concatenate([np.cumsum(weighted[::-1])[::-1], [0.0]])[1:]
-    partials = ns ** (-beta) * f_troughs - suffix
-    remainder = tail_lower_bound(fam.alpha, beta, fam.gamma, truncation)
-    records = []
-    for i in range(truncation):
-        n = i + 1
-        value = float(partials[i])
-        corrected = value - remainder
-        records.append(
-            IndexRecord(
-                n=n,
-                partial_integral=value,
-                tail_lower_bound=tail_lower_bound(fam.alpha, beta, fam.gamma, n),
-                corrected=corrected,
-                negative=corrected < -slack(corrected, scale=SIGN_SLACK_SCALE),
-            )
-        )
-    return tuple(records), remainder
+    suffix = np.concatenate([np.cumsum((heights * rises)[::-1])[::-1], [0.0]])[1:]
+    partials = heights * f_troughs - suffix
+    # tail_lower_bound at every n, with Python's pow as it uses: numpy's
+    # vector ** can differ from it in the last bit
+    decay = beta + fam.gamma - 1.0
+    tails = fam.alpha / decay * np.array([float(k) ** (-decay) for k in range(3, truncation + 3)])
+    corrected = partials - remainder
+    columns = (ns, partials, tails, corrected, _negative(corrected))
+    for col in columns:
+        col.flags.writeable = False
+    return IndexRecords(*columns), remainder
 
 
-def _empirical_threshold(records: tuple[IndexRecord, ...]) -> int | None:
+def _empirical_threshold(records: IndexRecords) -> int | None:
     """Smallest n0 with records negative for every n0 <= n <= truncation."""
-    last_bad = None
-    for rec in records:
-        if not rec.negative:
-            last_bad = rec.n
-    if last_bad is None:
+    bad = np.flatnonzero(~records.negative)
+    if not bad.size:
         return 1
-    if last_bad == len(records):
+    if bad[-1] == records.negative.size - 1:
         return None
-    return last_bad + 1
+    return int(bad[-1]) + 2
 
 
 def _resolve_f_sup(f: IntegrandSpec, f_sup: float | None) -> float | None:
@@ -423,14 +426,13 @@ def certify_negative(
 
 def _certify(f: IntegrandSpec, g: StepFunction, fam: OscillationFamily,
              params: CounterexampleParams, f_sup: float | None,
-             records: tuple[IndexRecord, ...], remainder: float,
+             records: IndexRecords, remainder: float,
              family_ok: bool) -> Certificate:
     """certify_negative on index records and a family check already computed."""
     N = params.truncation
     j = curve(f, g, [g.interval.b])
     corrected = j.values - remainder
-    # elementwise: not corrected < -slack(corrected, scale=SIGN_SLACK_SCALE)
-    failed = ~(corrected < -SIGN_SLACK_SCALE * (1.0 + np.abs(corrected)))
+    failed = ~_negative(corrected)
     failures = tuple(zip(j.ys[failed].tolist(), corrected[failed].tolist()))
 
     f_sup_eff = _resolve_f_sup(f, f_sup)

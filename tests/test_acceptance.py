@@ -70,7 +70,7 @@ def test_criterion_1_counterexample_certification(family):
         assert cert.empirical_threshold <= 7
         # n0 = 7 (the figure pipeline's forced threshold) is also valid: every
         # corrected partial integral from 7 through the horizon is negative
-        assert all(r.negative for r in cert.records if r.n >= 7)
+        assert cert.records.negative[cert.records.n >= 7].all()
         assert params.threshold == cert.empirical_threshold
         assert cert.verdict
         assert not cert.step_failures
@@ -90,8 +90,8 @@ def test_criterion_2_partial_integral_identity(family):
         for n in indices:
             lhs = partial_integral(f, fam, BETA, n, N)
             # the certificate's own number for index n
-            assert cert.records[n - 1].n == n
-            assert cert.records[n - 1].partial_integral == lhs
+            assert cert.records.n[n - 1] == n
+            assert cert.records.partial_integral[n - 1] == lhs
             rhs = rs_jump_exact(f, h, fam.trough(n)).value
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 

@@ -1,5 +1,7 @@
 """Representation-level checks: evaluation, limits, jumps, variation, Jordan."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,78 @@ class TestInterval:
             Interval(0.0, float("inf"))
 
 
+def canonical_step_reference(interval, breakpoints, piece_values, end_value):
+    """StepFunction's canonical (breakpoints, piece_values), or the
+    ConstructionError message, by the per-element loop it once ran."""
+    bp = tuple(float(p) for p in breakpoints)
+    pv = tuple(float(v) for v in piece_values)
+    for name, values in (("piece value", pv + (end_value,)), ("breakpoint", bp)):
+        for v in values:
+            if not math.isfinite(v):
+                return f"{name} must be finite, got {v!r}"
+    if len(pv) != len(bp) + 1:
+        return f"need one more piece value than breakpoints, got {len(pv)} vs {len(bp)}"
+    a, b = interval.a, interval.b
+    for p, q in zip(bp, bp[1:]):
+        if not p < q:
+            return f"breakpoints not strictly increasing at {p!r}"
+    if bp and not (a < bp[0] and bp[-1] <= b):
+        return f"breakpoints must lie in ({a}, {b}]"
+    if bp and bp[-1] == b:
+        bp, pv = bp[:-1], pv[:-1]
+    keep_bp, keep_pv = [], [pv[0]]
+    for p, v in zip(bp, pv[1:]):
+        if v != keep_pv[-1]:
+            keep_bp.append(p)
+            keep_pv.append(v)
+    return tuple(keep_bp), tuple(keep_pv)
+
+
+def random_step_arguments(rng):
+    """Breakpoints and piece values with runs of equal values (0.0 beside
+    -0.0 among them), often a breakpoint at b, sometimes one fault."""
+    m = int(rng.integers(0, 12))
+    bp = np.sort(rng.choice(np.linspace(0.05, 1.0, 20), size=m, replace=False)).tolist()
+    pv = rng.choice([0.0, -0.0, 1.0, 2.5, -1.0], size=m + 1).tolist()
+    end = float(rng.choice([0.0, -0.0, 3.0]))
+    fault = int(rng.integers(0, 12))
+    if fault == 0 and m:
+        bp[int(rng.integers(0, m))] = float(rng.choice([np.nan, np.inf, -np.inf]))
+    elif fault == 1:
+        pv[int(rng.integers(0, m + 1))] = float(rng.choice([np.nan, np.inf]))
+    elif fault == 2 and m > 1:
+        i = int(rng.integers(0, m - 1))
+        bp[i + 1] = bp[i] if rng.random() < 0.5 else bp[i] - 0.01
+    elif fault == 3 and m:
+        bp[int(rng.choice([0, m - 1]))] = float(rng.choice([0.0, -0.5, 1.5]))
+    elif fault == 4:
+        pv = pv[:-1] if rng.random() < 0.5 else pv + [1.0]
+    elif fault == 5:
+        end = float("nan")
+    return bp, pv, end
+
+
 class TestStepFunction:
+    def test_canonical_form_matches_loop_reference(self):
+        rng = np.random.default_rng(20241018)
+        outcomes = set()
+        for _ in range(600):
+            bp, pv, end = random_step_arguments(rng)
+            expected = canonical_step_reference(UNIT, bp, pv, end)
+            if isinstance(expected, str):
+                with pytest.raises(ConstructionError) as err:
+                    StepFunction(UNIT, tuple(bp), tuple(pv), end)
+                assert str(err.value) == expected
+                outcomes.add(expected.split(" ")[0])
+                continue
+            g = StepFunction(UNIT, tuple(bp), tuple(pv), end)
+            # repr tells 0.0 from -0.0: the first value of each run is kept
+            assert list(map(repr, g.breakpoints)) == list(map(repr, expected[0]))
+            assert list(map(repr, g.piece_values)) == list(map(repr, expected[1]))
+            assert all(type(v) is float for v in g.breakpoints + g.piece_values)
+            outcomes.add("built at b" if bp and bp[-1] == 1.0 else "built")
+        assert outcomes >= {"built", "built at b", "piece", "breakpoint", "breakpoints", "need"}
+
     def test_right_continuity_at_brick_edge(self):
         g = brick(0.5, 1.0)
         assert g.evaluate(0.5) == 1.0

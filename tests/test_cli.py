@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rscert.bv_core import Interval
+from rscert.bv_core import BVFunction, Interval
 from rscert.cli import (
     EXIT_EVAL,
     EXIT_OK,
@@ -14,10 +19,20 @@ from rscert.cli import (
     EXIT_SELFTEST,
     EXIT_THRESHOLD,
     SpecFileError,
+    certificate_to_doc,
     integrator_from_doc,
     integrator_to_doc,
     main,
+    _Rows,
+    _write_json,
 )
+from rscert.counterexample import (
+    POWER_SINE_UPPER_BOUND,
+    build_counterexample,
+    power_sine_family,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 UNIT = Interval(0.0, 1.0)
 
@@ -88,6 +103,22 @@ class TestSpecFiles:
                                  "breakpoints": ["x"], "piece_values": [0, 1],
                                  "end_value": 0})
         assert ".breakpoints[0]" in str(err.value)
+
+    def test_bad_breakpoint_path_is_exact(self, tmp_path, capsys):
+        doc = dict(BRICK_DOC, breakpoints=[0.1, 0.2, 0.3, "0.4", 0.5],
+                   piece_values=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(SpecFileError) as err:
+            integrator_from_doc(doc)
+        assert err.value.path == "$.breakpoints[3]"
+        path = write_doc(tmp_path, doc)
+        assert main(["integrate", "--f", "2", "--g", path, "--y", "0.5"]) == EXIT_PARSE
+        assert "$.breakpoints[3]: expected a number, got '0.4'" in capsys.readouterr().err
+
+    def test_bad_knot_path_is_exact(self):
+        doc = {"type": "piecewise_linear", "knots": [[0.0, 0.0], [0.5, None], [1.0, 0.0]]}
+        with pytest.raises(SpecFileError) as err:
+            integrator_from_doc(doc)
+        assert err.value.path == "$.knots[1][1]"
 
     def test_unknown_type(self):
         with pytest.raises(SpecFileError):
@@ -174,13 +205,80 @@ class TestCounterexampleCommand:
         g = integrator_from_doc(g_doc)
         assert len(g.step.breakpoints) == 2 * (1000 - 6 + 1)
 
-    def test_tiny_horizon_exits_4(self):
-        assert main(["counterexample", "--gamma", "0.5", "--beta", "1.5",
-                     "--N", "3"]) == EXIT_THRESHOLD
+    @pytest.mark.parametrize("N", [400, 1000])
+    def test_files_are_the_bytes_of_json_dump(self, tmp_path, capsys, N):
+        cert_path = tmp_path / "cert.json"
+        g_path = tmp_path / "g.json"
+        assert main([
+            "counterexample", "--gamma", "0.5", "--beta", "1.5", "--N", str(N),
+            "--out-certificate", str(cert_path), "--out-g", str(g_path),
+        ]) == EXIT_OK
+        f, fam = power_sine_family(0.5)
+        g, params, cert = build_counterexample(f, fam, 1.5, N, f_sup=POWER_SINE_UPPER_BOUND)
+        cert_doc = certificate_to_doc(cert, params)
+        g_doc = integrator_to_doc(BVFunction.from_step(g))
+        assert cert_path.read_bytes() == (json.dumps(cert_doc, indent=2) + "\n").encode()
+        assert g_path.read_bytes() == (json.dumps(g_doc, indent=2) + "\n").encode()
+
+    def test_tiny_horizon_exits_4(self, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        g_path = tmp_path / "g.json"
+        assert main(["counterexample", "--gamma", "0.5", "--beta", "1.5", "--N", "3",
+                     "--out-certificate", str(cert_path), "--out-g", str(g_path)]) == EXIT_THRESHOLD
+        assert not cert_path.exists()
+        assert not g_path.exists()
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rscert", "counterexample", "--gamma", "0.5",
+             "--beta", "1.5", "--N", "3"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_THRESHOLD
+        assert "threshold not found" in proc.stderr
 
     def test_bad_gamma_exits_2(self):
         assert main(["counterexample", "--gamma", "1.5", "--beta", "1.5",
                      "--N", "10"]) == EXIT_PARSE
+
+
+WRITER_DOCS = [
+    {"none": None, "empty_list": [], "empty_object": {}, "nested_empty": [[], {}]},
+    {"type": "sum", "parts": [
+        BRICK_DOC, {"type": "piecewise_linear", "knots": [[0.0, 0.0], [0.5, 1], [1.0, 0.0]]},
+    ]},
+    {"verdict": False, "threshold": 7, "note": 'caf\u00e9 "quoted"\n\ttab',
+     "step_failures": [[0.25, 1.5e-13], [0.5, -0.0]]},
+    [float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, -0.0, 3, True, None, "s"],
+    # longer than one written piece, flat and with containers among scalars
+    {"flat": [i / 7.0 for i in range(5000)], "mixed": [1.5, 2, [3.0, {"x": []}], None] * 1500},
+    [],
+    {},
+    2.5,
+    None,
+]
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("doc", WRITER_DOCS)
+    def test_bytes_equal_json_dump(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        _write_json(str(path), doc)
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("size", [0, 1, 5000])
+    def test_rows_are_written_as_objects(self, tmp_path, size):
+        keys = ("n", "x", "negative")
+        x = np.linspace(-1.0, 1.0, size)
+        x[size // 2:size // 2 + 3] = [np.nan, np.inf, -np.inf][:min(3, size)]
+        columns = (np.arange(1, size + 1), x, x < 0.0)
+        rows = [dict(zip(keys, r)) for r in zip(*(col.tolist() for col in columns))]
+        path = tmp_path / "rows.json"
+        _write_json(str(path), {"head": [1.0], "records": _Rows(keys, columns), "tail": None})
+        expected = json.dumps({"head": [1.0], "records": rows, "tail": None}, indent=2)
+        assert path.read_bytes() == (expected + "\n").encode()
 
 
 @pytest.fixture(scope="module")

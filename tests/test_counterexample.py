@@ -10,6 +10,7 @@ from rscert.funcspec import IntegrandSpec, Lipschitz, parse
 from rscert.stieltjes import rs_jump_exact
 from rscert.counterexample import (
     CounterexampleParams,
+    IndexRecords,
     OscillationFamily,
     ThresholdNotFound,
     build_bricks,
@@ -21,6 +22,7 @@ from rscert.counterexample import (
     tail_lower_bound,
     validate_family,
     POWER_SINE_UPPER_BOUND,
+    _empirical_threshold,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -114,7 +116,71 @@ class TestValidateFamily:
         assert report.violation_kind in ("convergence", "oscillation")
 
 
+def bricks_reference(fam, beta, truncation, first):
+    """build_bricks' breakpoints and piece values, or its DomainError
+    message, by the per-brick loop counting down from truncation."""
+    breakpoints, values = [], [0.0]
+    for n in range(truncation, first - 1, -1):
+        lo, hi = fam.trough(n), fam.crest(n)
+        if not (fam.accumulation_point < lo < hi):
+            return f"interleaving violated at n={n}"
+        if breakpoints and not breakpoints[-1] < lo:
+            return f"bricks overlap at n={n}"
+        breakpoints += [lo, hi]
+        values += [float(n) ** (-beta), 0.0]
+    return breakpoints, values
+
+
+def table_family(troughs, crests):
+    """A family read from tables indexed by n (entry 0 unused); indexing
+    takes an integer or an integer array alike."""
+    return OscillationFamily(0.0, lambda n: troughs[n], lambda n: crests[n], 1.0, 0.5)
+
+
 class TestBuildBricks:
+    def test_matches_loop_reference(self, family):
+        _, fam = family
+        for beta, truncation, first in ((1.5, 1000, 1), (1.8, 4000, 6), (2.0, 1, 1), (0.7, 37, 37)):
+            h = build_bricks(fam, beta, truncation, interval=UNIT, first=first)
+            bp, values = bricks_reference(fam, beta, truncation, first)
+            # bit for bit: heights n^-beta come from Python's pow
+            assert h.breakpoints == tuple(bp)
+            assert h.piece_values == tuple(values)
+
+    def test_first_violation_counting_down_matches_loop_reference(self):
+        rng = np.random.default_rng(8)
+        kinds = set()
+        for _ in range(300):
+            m = int(rng.integers(1, 30))
+            # valid descending bricks: trough(n) < crest(n) < trough(n - 1)
+            edges = np.sort(rng.uniform(0.01, 1.0, size=2 * m))[::-1]
+            troughs = np.concatenate([[np.nan], edges[1::2]])
+            crests = np.concatenate([[np.nan], edges[0::2]])
+            for _ in range(int(rng.integers(0, 4))):
+                n = int(rng.integers(1, m + 1))
+                fault = int(rng.integers(0, 4))
+                if fault == 0:
+                    troughs[n], crests[n] = crests[n], troughs[n]
+                elif fault == 1 and n < m:
+                    crests[n + 1] = troughs[n]
+                elif fault == 2:
+                    troughs[n] = float(rng.choice([0.0, -0.1, np.nan]))
+                else:
+                    crests[n] = troughs[n]
+            fam = table_family(troughs, crests)
+            first = int(rng.integers(1, m + 1))
+            expected = bricks_reference(fam, 1.5, m, first)
+            if isinstance(expected, str):
+                with pytest.raises(DomainError) as err:
+                    build_bricks(fam, 1.5, m, interval=UNIT, first=first)
+                assert str(err.value) == expected
+                kinds.add(expected.split(" at ")[0])
+            else:
+                h = build_bricks(fam, 1.5, m, interval=UNIT, first=first)
+                assert h.breakpoints == tuple(expected[0])
+                kinds.add("built")
+        assert kinds == {"built", "interleaving violated", "bricks overlap"}
+
     def test_single_brick(self, family):
         _, fam = family
         h = build_bricks(fam, 2.0, 1, interval=UNIT)
@@ -248,7 +314,41 @@ class TestBuildCounterexample:
     def test_seven_remains_valid(self, built):
         _, _, cert = built
         assert cert.empirical_threshold <= 7
-        assert all(r.negative for r in cert.records if r.n >= 7)
+        assert cert.records.negative[cert.records.n >= 7].all()
+
+    def test_records_are_read_only_columns(self, built):
+        _, _, cert = built
+        rec = cert.records
+        assert rec.n.tolist() == list(range(1, N + 1))
+        for col in (rec.n, rec.partial_integral, rec.tail_lower_bound, rec.corrected,
+                    rec.negative):
+            assert col.shape == (N,)
+            with pytest.raises(ValueError):
+                col[0] = col[1]
+        assert (rec.corrected == rec.partial_integral - cert.remainder_bound).all()
+
+    def test_tail_column_is_tail_lower_bound_bit_for_bit(self):
+        # decay beta + gamma - 1 = 1.2, where numpy's vector ** and Python's
+        # pow disagree in the last bit at some n
+        gamma, beta, horizon = 0.4, 1.8, 4000
+        f, fam = power_sine_family(gamma)
+        _, _, cert = build_counterexample(f, fam, beta, horizon, f_sup=POWER_SINE_UPPER_BOUND)
+        assert cert.records.tail_lower_bound.tolist() == [
+            tail_lower_bound(fam.alpha, beta, gamma, n) for n in range(1, horizon + 1)
+        ]
+
+    @pytest.mark.parametrize("negative, threshold", [
+        ([True, True, True], 1),
+        ([False, True, True], 2),
+        ([True, False, True], 3),
+        ([False, True, False, True, True], 4),
+        ([True, True, False], None),
+    ])
+    def test_empirical_threshold_is_the_last_nonnegative_index_plus_one(self, negative, threshold):
+        size = len(negative)
+        zeros = np.zeros(size)
+        records = IndexRecords(np.arange(1, size + 1), zeros, zeros, zeros, np.array(negative))
+        assert _empirical_threshold(records) == threshold
 
     def test_truncation_structure(self, family, built):
         _, fam = family
