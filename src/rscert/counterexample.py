@@ -190,6 +190,21 @@ def _negative(values: np.ndarray) -> np.ndarray:
 def validate_family(f: IntegrandSpec, fam: OscillationFamily, count: int) -> FamilyReport:
     """Check interleaving, the convergence trend and the oscillation bound
     for indices 1..count; reports the first violated index instead of raising."""
+    return _check_family(f, fam, count)[0]
+
+
+def _family_values(f: IntegrandSpec, fam: OscillationFamily,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """f at trough(n) and at crest(n) for n = 1..count."""
+    troughs, crests = _family_points(fam, np.arange(1, count + 1))
+    return integrand_values(f, troughs), integrand_values(f, crests)
+
+
+def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
+                  values: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[FamilyReport, tuple[np.ndarray, np.ndarray] | None]:
+    """validate_family, and the _family_values it read: the given ones, or
+    those it computed once the oscillation check was reached (else None)."""
     if count < 1:
         raise DomainError("count must be at least 1")
     a = fam.accumulation_point
@@ -198,32 +213,36 @@ def validate_family(f: IntegrandSpec, fam: OscillationFamily, count: int) -> Fam
 
     if not crests[0] <= b:
         return FamilyReport(False, count, 1, "interleaving",
-                            f"crest(1)={crests[0]!r} exceeds the domain end {b!r}", 0.0)
+                            f"crest(1)={crests[0]!r} exceeds the domain end {b!r}", 0.0), values
     for n in range(count):
         lo, hi = troughs[n], crests[n]
         if not (a < lo < hi):
             return FamilyReport(False, count, n + 1, "interleaving",
-                                f"need {a!r} < trough < crest at n={n + 1}", 0.0)
+                                f"need {a!r} < trough < crest at n={n + 1}", 0.0), values
         if n + 1 < count and not crests[n + 1] < troughs[n]:
             return FamilyReport(False, count, n + 2, "interleaving",
-                                f"crest({n + 2}) does not stay below trough({n + 1})", 0.0)
+                                f"crest({n + 2}) does not stay below trough({n + 1})", 0.0), values
 
     horizon_gap = crests[-1] - a
     far_gap = fam.crest(64 * count) - a
     if not far_gap <= max(horizon_gap / 4.0, slack(horizon_gap)):
         return FamilyReport(False, count, count, "convergence",
                             f"crest({64 * count}) - a = {far_gap!r} is not shrinking toward 0",
-                            horizon_gap)
+                            horizon_gap), values
 
-    rises = integrand_values(f, crests) - integrand_values(f, troughs)
+    if values is None:
+        f_crests = integrand_values(f, crests)
+        values = (integrand_values(f, troughs), f_crests)
+    f_troughs, f_crests = values
+    rises = f_crests - f_troughs
     required = fam.alpha * np.arange(1, count + 1, dtype=float) ** (-fam.gamma)
     bad = np.flatnonzero(rises < required - slack(float(required[0])))
     if bad.size:
         n = int(bad[0]) + 1
         return FamilyReport(False, count, n, "oscillation",
                             f"f(crest)-f(trough)={rises[bad[0]]!r} < alpha*n^-gamma={required[bad[0]]!r} at n={n}",
-                            horizon_gap)
-    return FamilyReport(True, count, None, None, "all checks passed", horizon_gap)
+                            horizon_gap), values
+    return FamilyReport(True, count, None, None, "all checks passed", horizon_gap), values
 
 
 def build_bricks(fam: OscillationFamily, beta: float, truncation: int,
@@ -271,7 +290,7 @@ def partial_integral(f: IntegrandSpec, fam: OscillationFamily, beta: float,
     """
     if not 1 <= n <= truncation:
         raise DomainError(f"index {n} outside 1..{truncation}")
-    records, _ = _index_records(f, fam, beta, truncation)
+    records, _ = _index_records(fam, beta, truncation, _family_values(f, fam, truncation))
     return float(records.partial_integral[n - 1])
 
 
@@ -305,14 +324,14 @@ def certified_threshold(f_sup: float, alpha: float, beta: float, gamma: float,
     raise ThresholdNotFound(f"no certified threshold within 1..{cap}")
 
 
-def _index_records(f: IntegrandSpec, fam: OscillationFamily, beta: float,
-                   truncation: int) -> tuple[IndexRecords, float]:
-    """Per-index evidence via one vectorized pass (suffix sums over the bricks)."""
+def _index_records(fam: OscillationFamily, beta: float, truncation: int,
+                   values: tuple[np.ndarray, np.ndarray]) -> tuple[IndexRecords, float]:
+    """Per-index evidence via one vectorized pass (suffix sums over the
+    bricks), from the _family_values up to the truncation."""
     remainder = tail_lower_bound(fam.alpha, beta, fam.gamma, truncation)
     ns = np.arange(1, truncation + 1)
-    troughs, crests = _family_points(fam, ns)
-    f_troughs = integrand_values(f, troughs)
-    rises = integrand_values(f, crests) - f_troughs
+    f_troughs, f_crests = values
+    rises = f_crests - f_troughs
     heights = ns.astype(float) ** (-beta)
     # suffix[i] = sum of weighted[i+1:], the truncated tail past index i+1
     suffix = np.concatenate([np.cumsum((heights * rises)[::-1])[::-1], [0.0]])[1:]
@@ -374,13 +393,13 @@ def build_counterexample(
     is h * chi_[a, crest(n0)). The returned certificate carries the per-index
     evidence and the negativity verdict for the built integrator.
     """
-    report = validate_family(f, fam, truncation)
+    report, values = _check_family(f, fam, truncation)
     if not report.ok:
         raise DomainError(
             f"oscillation family invalid at n={report.violation_index} "
             f"({report.violation_kind}): {report.detail}"
         )
-    records, remainder = _index_records(f, fam, beta, truncation)
+    records, remainder = _index_records(fam, beta, truncation, values)
     threshold = _empirical_threshold(records)
     if threshold is None:
         raise ThresholdNotFound(
@@ -419,8 +438,9 @@ def certify_negative(
     corrected value at or above -slack makes the verdict false and is
     reported with its location.
     """
-    records, remainder = _index_records(f, fam, params.beta, params.truncation)
-    family_ok = validate_family(f, fam, params.truncation).ok
+    values = _family_values(f, fam, params.truncation)
+    records, remainder = _index_records(fam, params.beta, params.truncation, values)
+    family_ok = _check_family(f, fam, params.truncation, values)[0].ok
     return _certify(f, g, fam, params, f_sup, records, remainder, family_ok)
 
 

@@ -14,13 +14,25 @@ which is all the other layers ask of a continuous integrand: ``interval``,
 ``evaluate_array``, ``modulus_at(delta)``, ``heuristic``, ``pl_form()`` (an
 exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
 on [c, d]).
+
+Evaluation: the parser rejects numbers and folded exponents that are not
+finite. An IntegrandSpec compiles its expression once, when it is built,
+into a flat program of numpy ufunc calls on a value stack; constants enter
+as Python floats and x as the input array, under one np.errstate. A point
+is invalid where some operation's value is inf or nan (or a power has a
+negative base and a non-integer exponent); the program tests finiteness
+only at the root, at divisors and at bases of powers with exponent <= 0,
+the only places a later operation can turn such a value finite again.
+evaluate_array raises DomainError for points outside the interval or NaN,
+and EvaluationError naming the first invalid point that is not the
+removable one.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -235,13 +247,18 @@ class _Parser:
             value = _const_value(exponent)
             if value is None:
                 raise ParseError("power exponent must be a constant", exp_pos)
+            if not math.isfinite(value):
+                raise ParseError(f"power exponent {value!r} is not finite", exp_pos)
             return Power(base, float(value))
         return base
 
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "number":
-            return Literal(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is not finite", pos)
+            return Literal(value)
         if kind == "name":
             if text == "x":
                 return X
@@ -344,51 +361,122 @@ def _eval_scalar(e: Expr, x: float) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval_array(e: Expr, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized walk returning (values, invalid-mask).
+@dataclass(frozen=True)
+class _Compiled:
+    """A subtree during compilation: a constant (code empty), or steps that
+    leave an array on the stack. derived: the subtree holds an operation
+    that can turn finite inputs into inf or nan."""
 
-    The mask records every point where some sub-expression left the reals
-    (division by zero, bad power); later operations cannot launder it away.
-    """
+    code: tuple = ()
+    const: float | None = None
+    derived: bool = False
+
+    def operand(self) -> tuple:
+        return self.code or (("const", self.const),)
+
+    def as_array(self) -> "_Compiled":
+        """Steps that leave an array: a constant is filled into one, as the
+        only operand of an operation."""
+        return self if self.const is None else _Compiled((("fill", self.const),))
+
+
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "sin": np.sin, "cos": np.cos}
+_X_ONLY = (("x",),)
+
+
+def _compile(e: Expr) -> _Compiled:
     if isinstance(e, Literal):
-        return np.full(xs.shape, e.value), np.zeros(xs.shape, dtype=bool)
+        return _Compiled(const=e.value)
     if isinstance(e, Variable):
-        return xs.astype(float, copy=True), np.zeros(xs.shape, dtype=bool)
+        return _Compiled(_X_ONLY)
     if isinstance(e, Negate):
-        v, bad = _eval_array(e.operand, xs)
-        return -v, bad
+        c = _compile(e.operand)
+        if c.const is not None:
+            return _Compiled(const=-c.const)
+        return _Compiled(c.code + (("unary", np.negative),), derived=c.derived)
     if isinstance(e, BinaryOp):
-        lv, lbad = _eval_array(e.left, xs)
-        rv, rbad = _eval_array(e.right, xs)
-        bad = lbad | rbad
-        with np.errstate(all="ignore"):
-            if e.op == "+":
-                v = lv + rv
-            elif e.op == "-":
-                v = lv - rv
-            elif e.op == "*":
-                v = lv * rv
-            else:
-                v = np.divide(lv, rv)
-                bad = bad | (rv == 0.0)
-        return v, bad | ~np.isfinite(v)
+        left, right = _compile(e.left), _compile(e.right)
+        if right.const is not None:
+            left = left.as_array()
+        # x/inf is 0
+        check = (("check",),) if e.op == "/" and right.derived else ()
+        code = left.operand() + right.operand() + check + (("binary", _UFUNCS[e.op]),)
+        return _Compiled(code, derived=True)
     if isinstance(e, Power):
-        bv, bbad = _eval_array(e.base, xs)
-        exponent = e.exponent
-        with np.errstate(all="ignore"):
-            v = np.power(bv, exponent)
-        bad = bbad | ~np.isfinite(v)
-        if exponent != int(exponent):
-            bad = bad | (bv < 0.0)
-        if exponent < 0.0:
-            bad = bad | (bv == 0.0)
-        return v, bad
+        base = _compile(e.base)
+        check = ()
+        if base.const is not None and base.const < 0.0 and not float(e.exponent).is_integer():
+            check = (("everywhere",),)  # needed for -inf only: (-inf)^-0.5 is 0
+        base = base.as_array()
+        if e.exponent <= 0.0 and base.derived:  # nan^0 is 1 and inf^-1 is 0
+            check = (("check",),)
+        return _Compiled(base.code + check + (("power", e.exponent),), derived=True)
     if isinstance(e, Call):
-        av, abad = _eval_array(e.arg, xs)
-        with np.errstate(all="ignore"):
-            v = np.sin(av) if e.func == "sin" else np.cos(av)
-        return v, abad | ~np.isfinite(v)
+        arg = _compile(e.arg).as_array()
+        return _Compiled(arg.code + (("unary", _UFUNCS[e.func]),), derived=True)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+class _Program:
+    """An expression compiled once into postfix steps on a value stack.
+
+    Constants enter the ufuncs as Python floats and x as the input array
+    itself; a constant is filled into an array only as the sole array
+    operand of an operation, so every step computes what a walk of the tree
+    over full arrays would. A point is invalid where some operation's value
+    is inf or nan, or where a power has a negative base and a non-integer
+    exponent. The value is inf or nan at a division by zero, at a zero base
+    under a negative exponent and at a finite negative base under a
+    non-integer one; a constant base of -inf is marked when compiled. Every
+    operation maps a non-finite input to a non-finite output except a
+    division by it and a power of it with exponent <= 0, so the values are
+    checked only at the root, at such divisors and at such bases. Leaves are
+    not checked: x is finite, and a non-finite literal alone is not an
+    operation.
+    """
+
+    __slots__ = ("steps",)
+
+    def __init__(self, e: Expr):
+        root = _compile(e)
+        steps = root.as_array().code
+        if root.derived:
+            steps += (("check",),)
+        if steps == _X_ONLY:
+            steps += (("copy",),)
+        self.steps = steps
+
+    def run(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(values, invalid mask) at xs; the mask is None where no point is
+        invalid. The values are a fresh array."""
+        stack = []
+        bad = None
+        with np.errstate(all="ignore"):
+            for step in self.steps:
+                kind = step[0]
+                if kind == "x":
+                    stack.append(xs)
+                elif kind == "const":
+                    stack.append(step[1])
+                elif kind == "fill":
+                    stack.append(np.full(xs.shape, step[1]))
+                elif kind == "binary":
+                    right = stack.pop()
+                    stack[-1] = step[1](stack[-1], right)
+                elif kind == "unary":
+                    stack[-1] = step[1](stack[-1])
+                elif kind == "power":
+                    stack[-1] = np.power(stack[-1], step[1])
+                elif kind == "check":
+                    finite = np.isfinite(stack[-1])
+                    if not finite.all():
+                        bad = ~finite if bad is None else bad | ~finite
+                elif kind == "everywhere":
+                    bad = np.ones(xs.shape, dtype=bool)
+                else:  # "copy"
+                    stack[-1] = stack[-1].copy()
+        return stack[0], bad
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +548,14 @@ class IntegrandSpec:
     interval: Interval
     modulus: ModulusDescriptor
     removable_value_at: tuple[float, float] | None = None
+    _program: _Program = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.removable_value_at is not None:
             point, value = self.removable_value_at
             self.interval.require(point, "removable-singularity point")
             object.__setattr__(self, "removable_value_at", (float(point), float(value)))
+        object.__setattr__(self, "_program", _Program(self.expr))
 
     def evaluate(self, x: float) -> float:
         self.interval.require(x)
@@ -475,15 +565,16 @@ class IntegrandSpec:
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < self.interval.a or xs.max() > self.interval.b):
+        if xs.size and not (xs.min() >= self.interval.a and xs.max() <= self.interval.b):
             raise DomainError("points outside the integrand's domain")
-        values, bad = _eval_array(self.expr, xs)
+        values, bad = self._program.run(xs)
         if self.removable_value_at is not None:
             point, fill = self.removable_value_at
             hit = xs == point
             values = np.where(hit, fill, values)
-            bad = bad & ~hit
-        if bad.any():
+            if bad is not None:
+                bad = bad & ~hit
+        if bad is not None and bad.any():
             first = xs[np.flatnonzero(bad)[0]]
             raise EvaluationError(f"expression undefined at x={float(first)!r}")
         return values

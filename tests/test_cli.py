@@ -19,6 +19,7 @@ from rscert.cli import (
     EXIT_SELFTEST,
     EXIT_THRESHOLD,
     SpecFileError,
+    build_parser,
     certificate_to_doc,
     integrator_from_doc,
     integrator_to_doc,
@@ -172,6 +173,11 @@ class TestIntegrateCommand:
         path = write_doc(tmp_path, BRICK_DOC)
         code = main(["integrate", "--f", "sin x", "--g", path, "--y", "0.5"])
         assert code == EXIT_PARSE
+
+    def test_non_finite_number_exits_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, BRICK_DOC)
+        assert main(["integrate", "--f", "1e400", "--g", path, "--y", "0.5"]) == EXIT_PARSE
+        assert "number '1e400' is not finite (at position 0)" in capsys.readouterr().err
 
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -400,6 +406,46 @@ class TestSelftestCommand:
         main(["selftest", "--seed", "123"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestRepeatedMain:
+    """main builds its argument parser once per process and can be called
+    again after any verb or argument error."""
+
+    def test_verbs_and_an_argument_error_in_one_process(self, tmp_path, capsys, monkeypatch):
+        from rscert import cli
+
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            g_path = write_doc(tmp_path, BRICK_DOC)
+            integrate = ["integrate", "--f", "2", "--g", g_path, "--y", "0.75"]
+            assert main(integrate) == EXIT_OK
+            first = capsys.readouterr()
+            assert main(["counterexample", "--gamma", "0.5", "--beta", "1.5", "--N", "3"]) \
+                == EXIT_THRESHOLD
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as err:
+                main(["integrate", "--f", "2"])
+            assert err.value.code == 2
+            usage = capsys.readouterr().err
+            assert usage.startswith("usage: rscert integrate")
+            assert usage.endswith("error: the following arguments are required: --g, --y\n")
+            assert main(["search-positive", "--f", "2", "--g", g_path]) == EXIT_OK
+            capsys.readouterr()
+            assert main(integrate) == EXIT_OK
+            assert capsys.readouterr() == first
+            with pytest.raises(SystemExit) as err:
+                main(["--help"])
+            assert err.value.code == 0
+            assert capsys.readouterr().out == build_parser().format_help()
+            with pytest.raises(SystemExit):
+                main(["integrate", "--f", "2"])
+            assert capsys.readouterr().err == usage
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
 
 
 class TestExitCodeTable:

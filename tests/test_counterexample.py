@@ -396,6 +396,46 @@ class TestBuildCounterexample:
             build_counterexample(f2, fam, BETA, 100, f_sup=2.0)
 
 
+class TestIntegrandReads:
+    """f is read once at each trough and each crest."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        from rscert import counterexample
+
+        sizes = []
+        original = counterexample.integrand_values
+
+        def counting(f, xs):
+            sizes.append(len(xs))
+            return original(f, xs)
+
+        monkeypatch.setattr(counterexample, "integrand_values", counting)
+        return sizes
+
+    def test_build_counterexample(self, family, reads):
+        f, fam = family
+        _, _, cert = build_counterexample(f, fam, BETA, N, f_sup=POWER_SINE_UPPER_BOUND)
+        assert reads == [N, N]  # the crests, then the troughs
+        assert cert.verdict
+
+    def test_certify_negative(self, family, built, reads):
+        f, fam = family
+        g, params, expected = built
+        cert = certify_negative(f, g, fam, params, f_sup=POWER_SINE_UPPER_BOUND)
+        assert reads == [N, N]  # the troughs, then the crests
+        assert cert.verdict == expected.verdict and cert.family_ok == expected.family_ok
+        assert np.array_equal(cert.records.corrected, expected.records.corrected)
+
+    def test_bad_family_reads_nothing(self, family, reads):
+        f, fam = family
+        swapped = OscillationFamily(fam.accumulation_point, fam.crest, fam.trough,
+                                    fam.alpha, fam.gamma)
+        with pytest.raises(DomainError, match="interleaving"):
+            build_counterexample(f, swapped, BETA, 50)
+        assert reads == []
+
+
 class TestCertifyNegative:
     def test_canonical_verdict(self, built):
         _, _, cert = built

@@ -80,6 +80,19 @@ class TestParser:
         assert parse("1.5e-3") == Literal(1.5e-3)
         assert parse("2E+4") == Literal(2e4)
 
+    @pytest.mark.parametrize("text, position", [
+        ("1e400", 0), ("x/1e400", 2), ("x+2^1e999", 4),
+        ("x^(10^300*10^300)", 2), ("x^(0*(10^300*10^300))", 2),
+    ])
+    def test_non_finite_numbers_rejected(self, text, position):
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse(text)
+        assert err.value.position == position
+
+    def test_large_finite_numbers_kept(self):
+        assert parse("1e308") == Literal(1e308)
+        assert parse("x^(10^300*10^-300)") == Power(X, 1e300 * 1e-300)
+
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse("(1+2")
@@ -183,6 +196,14 @@ class TestEvaluation:
         spec = spec_of("1/(1/x)")  # finite in exact arithmetic, undefined at 0
         with pytest.raises(EvaluationError):
             spec.evaluate_array(np.asarray([0.0, 0.5]))
+
+    @pytest.mark.parametrize("text", ["x", "x^2+1", "2"])
+    def test_array_rejects_nan_points(self, text):
+        spec = spec_of(text)
+        with pytest.raises(DomainError):
+            spec.evaluate_array(np.asarray([0.5, math.nan]))
+        with pytest.raises(DomainError):
+            spec.evaluate(math.nan)
 
     def test_removable_point_must_be_inside_domain(self):
         with pytest.raises(DomainError):
