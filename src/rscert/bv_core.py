@@ -47,6 +47,12 @@ def _check_finite(name: str, *values: float) -> None:
             raise ConstructionError(f"{name} must be finite, got {v!r}")
 
 
+def _running_sum(values) -> np.ndarray:
+    """0.0 followed by the partial sums of values, added in order: the floats
+    a loop adding each value to 0.0 makes (ndarray.sum adds pairwise)."""
+    return np.cumsum(np.append(0.0, values))
+
+
 def _check_finite_array(name: str, values: np.ndarray) -> None:
     """_check_finite over a float array, naming the first non-finite entry."""
     bad = np.flatnonzero(~np.isfinite(values))
@@ -193,31 +199,34 @@ class StepFunction:
 
     # -- structure ----------------------------------------------------------
 
-    def jumps_in(self, c: float, d: float) -> list[tuple[float, float]]:
+    def jumps_in(self, c: float, d: float) -> np.ndarray:
         """Signed jumps at points of [c, d], one-sided at the ends.
 
+        A read-only float array of shape (k, 2), one row (point, jump) per
+        jump in increasing order; it is stored column by column, so
+        ``points, weights = g.jumps_in(c, d).T`` are contiguous arrays.
         Interior points carry the full two-sided jump; at d only the
         left-side difference evaluate(d) - left_limit(d) counts (this matches
         restriction of the function to [c, d] and makes variation additive);
         at c the right-side difference is identically zero by right-continuity.
+        Every breakpoint is a jump and none sits at b, so the rows are the
+        breakpoints in (c, d] and, when d is b, the jump to end_value.
         """
         self.interval.require_subinterval(c, d)
-        out: list[tuple[float, float]] = []
-        if c == d:
-            return out
-        lo = bisect_right(self.breakpoints, c)
-        hi = bisect_left(self.breakpoints, d)
-        for i in range(lo, hi):
-            out.append((self.breakpoints[i], self.piece_values[i + 1] - self.piece_values[i]))
-        end_jump = self.evaluate(d) - self.left_limit(d)
-        if end_jump != 0.0:
-            out.append((d, end_jump))
-        return out
+        bp, pv = np.asarray(self.breakpoints), np.asarray(self.piece_values)
+        lo, hi = np.searchsorted(bp, (c, d), side="right")
+        points, weights = bp[lo:hi], np.diff(pv[lo : hi + 1])
+        if c < d and d == self.interval.b and self.end_value != pv[-1]:
+            points = np.append(points, d)
+            weights = np.append(weights, self.end_value - pv[-1])
+        columns = np.stack((points, weights))
+        columns.flags.writeable = False
+        return columns.T
 
     def total_variation(self, c: float | None = None, d: float | None = None) -> float:
         c = self.interval.a if c is None else c
         d = self.interval.b if d is None else d
-        return float(sum(abs(j) for _, j in self.jumps_in(c, d)))
+        return float(_running_sum(np.abs(self.jumps_in(c, d)[:, 1]))[-1])
 
     def integral(self, c: float, d: float) -> float:
         """The plain Riemann integral of the step values over [c, d]."""
@@ -438,7 +447,7 @@ class BVFunction:
     def right_limit(self, x: float) -> float:
         return self.step.right_limit(x) + self.linear.right_limit(x)
 
-    def jumps_in(self, c: float, d: float) -> list[tuple[float, float]]:
+    def jumps_in(self, c: float, d: float) -> np.ndarray:
         return self.step.jumps_in(c, d)
 
     def integral(self, c: float, d: float) -> float:
@@ -528,35 +537,18 @@ def jordan_decompose(g) -> JordanPair:
     g = as_bv_function(g)
     a, b = g.interval.a, g.interval.b
 
-    pos_cum, neg_cum = 0.0, 0.0
-    pos_bp, pos_pv = [], [0.0]
-    neg_bp, neg_pv = [], [0.0]
-    end_jump = 0.0
-    for p, jump in g.step.jumps_in(a, b):
-        if p == b:
-            end_jump = jump
-            continue
-        if jump > 0:
-            pos_cum += jump
-            pos_bp.append(p)
-            pos_pv.append(pos_cum)
-        else:
-            neg_cum += -jump
-            neg_bp.append(p)
-            neg_pv.append(neg_cum)
-    pos_end = pos_cum + max(end_jump, 0.0)
-    neg_end = neg_cum + max(-end_jump, 0.0)
-    pos_step = StepFunction(g.interval, tuple(pos_bp), tuple(pos_pv), pos_end)
-    neg_step = StepFunction(g.interval, tuple(neg_bp), tuple(neg_pv), neg_end)
+    points, weights = g.step.jumps_in(a, b).T
+    inner = points < b  # only the last row can sit at b
+    end_jump = weights[-1] if not inner.all() else 0.0
+    points, weights = points[inner], weights[inner]
+    up = weights > 0.0
+    pos_pv, neg_pv = _running_sum(weights[up]), _running_sum(-weights[~up])
+    pos_step = StepFunction(g.interval, points[up], pos_pv, pos_pv[-1] + max(end_jump, 0.0))
+    neg_step = StepFunction(g.interval, points[~up], neg_pv, neg_pv[-1] + max(-end_jump, 0.0))
 
-    xs = g.linear.xs
-    pos_y, neg_y = [0.0], [0.0]
-    for (x0, y0), (x1, y1) in zip(g.linear.knots, g.linear.knots[1:]):
-        rise = y1 - y0
-        pos_y.append(pos_y[-1] + max(rise, 0.0))
-        neg_y.append(neg_y[-1] + max(-rise, 0.0))
-    pos_lin = PiecewiseLinear(tuple(zip(xs, pos_y)))
-    neg_lin = PiecewiseLinear(tuple(zip(xs, neg_y)))
+    xs, rise = g.linear.xs, np.diff(g.linear.ys)
+    pos_lin = PiecewiseLinear(np.column_stack((xs, _running_sum(np.maximum(rise, 0.0)))))
+    neg_lin = PiecewiseLinear(np.column_stack((xs, _running_sum(np.maximum(-rise, 0.0)))))
 
     return JordanPair(BVFunction(pos_step, pos_lin), BVFunction(neg_step, neg_lin))
 
@@ -573,8 +565,9 @@ def total_variation(g, c: float, d: float) -> float:
     return as_bv_function(g).total_variation(c, d)
 
 
-def jumps(g, c: float, d: float) -> list[tuple[float, float]]:
-    """All points of [c, d] where the one-sided limits differ, with signed sizes."""
+def jumps(g, c: float, d: float) -> np.ndarray:
+    """All points of [c, d] where the one-sided limits differ, with signed
+    sizes: the (k, 2) array of StepFunction.jumps_in."""
     return as_bv_function(g).jumps_in(c, d)
 
 

@@ -428,9 +428,9 @@ def cmd_reproduce_figure(args) -> int:
         [(_fmt(x), _fmt(v)) for x, v in zip(xs, f_vals)],
         ["oscillating integrand sampled on the window"],
     )
+    points = g.jumps_in(0.0, window)[:, 0]
     g_rows = [(_fmt(0.0), _fmt(g.evaluate(0.0)), "grid")]
-    for p, _ in g.jumps_in(0.0, window):
-        g_rows.append((_fmt(p), _fmt(g.evaluate(p)), "jump"))
+    g_rows += [(_fmt(p), _fmt(v), "jump") for p, v in zip(points, g.evaluate_array(points))]
     g_rows.append((_fmt(window), _fmt(g.evaluate(window)), "grid"))
     _write_csv(
         stem + "_g.csv", "x,g,flag", g_rows,

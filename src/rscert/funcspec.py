@@ -15,22 +15,24 @@ which is all the other layers ask of a continuous integrand: ``interval``,
 exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
 on [c, d]).
 
-Evaluation: the parser rejects numbers and folded exponents that are not
-finite. An IntegrandSpec compiles its expression once, when it is built,
-into a flat program of numpy ufunc calls on a value stack; constants enter
-as Python floats and x as the input array, under one np.errstate. A point
+Evaluation: the parser rejects numbers that are not finite, and constant
+exponents that do not fold to a finite real number. An IntegrandSpec
+compiles its expression once, when it is built, into a flat program of
+numpy ufunc calls on a value stack; constants enter as Python floats and
+x as the input array, under one np.errstate. A point
 is invalid where some operation's value is inf or nan (or a power has a
 negative base and a non-integer exponent); the program tests finiteness
 only at the root, at divisors and at bases of powers with exponent <= 0,
 the only places a later operation can turn such a value finite again.
 evaluate_array raises DomainError for points outside the interval or NaN,
 and EvaluationError naming the first invalid point that is not the
-removable one.
+removable one; evaluate is evaluate_array at one point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -151,37 +153,40 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _mentions_x(e: Expr) -> bool:
+    if isinstance(e, (Literal, Variable)):
+        return isinstance(e, Variable)
+    if isinstance(e, BinaryOp):
+        return _mentions_x(e.left) or _mentions_x(e.right)
+    if isinstance(e, Negate):
+        return _mentions_x(e.operand)
+    return _mentions_x(e.base if isinstance(e, Power) else e.arg)
+
+
 def _const_value(e: Expr) -> float | None:
-    """Fold a variable-free subtree to its value; None if it mentions x."""
+    """Fold a subtree to its value; None if it mentions x. A variable-free
+    subtree without a real value (a division by zero, a power that overflows
+    or has a negative base and a non-integer exponent) raises EvaluationError."""
+    if _mentions_x(e):
+        return None
     if isinstance(e, Literal):
         return e.value
-    if isinstance(e, Variable):
-        return None
     if isinstance(e, Negate):
-        v = _const_value(e.operand)
-        return None if v is None else -v
+        return -_const_value(e.operand)
     if isinstance(e, BinaryOp):
         l, r = _const_value(e.left), _const_value(e.right)
-        if l is None or r is None:
-            return None
-        try:
-            return {"+": l + r, "-": l - r, "*": l * r, "/": l / r}[e.op]
-        except ZeroDivisionError:
-            return None
+        if e.op == "/" and r == 0.0:
+            raise EvaluationError("division by zero")
+        return _FOLD[e.op](l, r)
     if isinstance(e, Power):
-        b = _const_value(e.base)
-        if b is None:
-            return None
-        try:
-            return _pow(b, e.exponent, None)
-        except EvaluationError:
-            return None
-    if isinstance(e, Call):
-        v = _const_value(e.arg)
-        if v is None:
-            return None
-        return math.sin(v) if e.func == "sin" else math.cos(v)
-    raise TypeError(f"not an expression node: {e!r}")
+        return _pow(_const_value(e.base), e.exponent)
+    v = _const_value(e.arg)
+    if not math.isfinite(v):
+        raise EvaluationError(f"{e.func}({v!r}) is not a real number")
+    return math.sin(v) if e.func == "sin" else math.cos(v)
 
 
 class _Parser:
@@ -244,7 +249,10 @@ class _Parser:
             self.advance()
             _, _, exp_pos = self.peek()
             exponent = self.factor()
-            value = _const_value(exponent)
+            try:
+                value = _const_value(exponent)
+            except EvaluationError as exc:
+                raise ParseError(f"power exponent cannot be evaluated: {exc}", exp_pos) from None
             if value is None:
                 raise ParseError("power exponent must be a constant", exp_pos)
             if not math.isfinite(value):
@@ -322,43 +330,16 @@ def format_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _pow(base: float, exponent: float, x: float | None) -> float:
-    where = "" if x is None else f" at x={x!r}"
-    if base < 0.0 and exponent != int(exponent):
-        raise EvaluationError(f"negative base {base!r} with non-integer exponent{where}")
+def _pow(base: float, exponent: float) -> float:
+    """A constant power, folded when parsing or read as an affine coefficient."""
+    if base < 0.0 and not float(exponent).is_integer():
+        raise EvaluationError(f"negative base {base!r} with non-integer exponent")
     if base == 0.0 and exponent < 0.0:
-        raise EvaluationError(f"zero base with negative exponent{where}")
+        raise EvaluationError("zero base with negative exponent")
     try:
         return math.pow(base, exponent)
     except (ValueError, OverflowError) as exc:
-        raise EvaluationError(f"power evaluation failed{where}: {exc}") from exc
-
-
-def _eval_scalar(e: Expr, x: float) -> float:
-    if isinstance(e, Literal):
-        return e.value
-    if isinstance(e, Variable):
-        return x
-    if isinstance(e, Negate):
-        return -_eval_scalar(e.operand, x)
-    if isinstance(e, BinaryOp):
-        left = _eval_scalar(e.left, x)
-        right = _eval_scalar(e.right, x)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0.0:
-            raise EvaluationError(f"division by zero at x={x!r}")
-        return left / right
-    if isinstance(e, Power):
-        return _pow(_eval_scalar(e.base, x), e.exponent, x)
-    if isinstance(e, Call):
-        v = _eval_scalar(e.arg, x)
-        return math.sin(v) if e.func == "sin" else math.cos(v)
-    raise TypeError(f"not an expression node: {e!r}")
+        raise EvaluationError(f"power evaluation failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -559,9 +540,7 @@ class IntegrandSpec:
 
     def evaluate(self, x: float) -> float:
         self.interval.require(x)
-        if self.removable_value_at is not None and x == self.removable_value_at[0]:
-            return self.removable_value_at[1]
-        return _eval_scalar(self.expr, x)
+        return float(self.evaluate_array(np.array([x], dtype=float))[0])
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -706,13 +685,13 @@ def _affine_coefficients(e: Expr) -> tuple[float, float] | None:
             return (1.0, 0.0)
         if base[1] == 0.0:
             try:
-                return (_pow(base[0], e.exponent, None), 0.0)
+                return (_pow(base[0], e.exponent), 0.0)
             except EvaluationError:
                 return None
         return None
     if isinstance(e, Call):
         arg = _affine_coefficients(e.arg)
-        if arg is None or arg[1] != 0.0:
+        if arg is None or arg[1] != 0.0 or not math.isfinite(arg[0]):
             return None
         fn = math.sin if e.func == "sin" else math.cos
         return (fn(arg[0]), 0.0)

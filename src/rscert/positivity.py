@@ -25,6 +25,7 @@ from .bv_core import (
     Interval,
     PiecewiseLinear,
     StepFunction,
+    _running_sum,
     as_bv_function,
     jordan_decompose,
     slack,
@@ -187,22 +188,22 @@ def pl_times_step(f: PiecewiseLinear, g: StepFunction) -> BVFunction:
     if f.interval != g.interval:
         raise PreconditionError("factors must share one interval")
     a, b = g.interval.a, g.interval.b
-    interior = [(p, w) for p, w in g.jumps_in(a, b) if p < b]
-    end_jump = sum(f.evaluate(b) * w for p, w in g.jumps_in(a, b) if p == b)
-    bp, pv, acc = [], [0.0], 0.0
-    for p, w in interior:
-        acc += f.evaluate(p) * w
-        bp.append(p)
-        pv.append(acc)
-    step = StepFunction(g.interval, tuple(bp), tuple(pv), acc + end_jump)
+    points, weights = g.jumps_in(a, b).T
+    contributions = f.evaluate_array(points) * weights
+    inner = points < b  # only the last row can sit at b
+    end_jump = contributions[-1] if not inner.all() else 0.0
+    # jumped[i]: the contributions of the first i interior jumps, summed in order
+    points, jumped = points[inner], _running_sum(contributions[inner])
+    step = StepFunction(g.interval, points, jumped, jumped[-1] + end_jump)
 
-    def jumped_through(x: float) -> float:
-        return sum(f.evaluate(p) * w for p, w in interior if p <= x)
-
-    xs = sorted(set(f.xs) | set(g.breakpoints))
-    knots = [(x, f.evaluate(x) * g.evaluate(x) - jumped_through(x)) for x in xs if x < b]
-    knots.append((b, f.evaluate(b) * g.left_limit(b) - jumped_through(b)))
-    return BVFunction(step, PiecewiseLinear(tuple(knots)))
+    # the linear part: f * g minus the jumps taken through x, at every knot
+    # of f and breakpoint of g; at b the left limit of g counts
+    xs = np.union1d(f.xs, g.breakpoints)
+    gx = g.evaluate_array(xs)
+    gx[-1] = g.piece_values[-1]
+    through = jumped[np.searchsorted(points, xs, side="right")]
+    knots = np.column_stack((xs, f.evaluate_array(xs) * gx - through))
+    return BVFunction(step, PiecewiseLinear(knots))
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,9 @@ def rs_jump_exact(f, g: StepFunction | BVFunction, y: float) -> IntegralResult:
     """
     step = g.step if isinstance(g, BVFunction) else g
     _require_upper_limit(step.interval, y)
-    jumps = step.jumps_in(step.interval.a, y)
-    if not jumps:
+    points, weights = step.jumps_in(step.interval.a, y).T
+    if not len(points):
         return IntegralResult(0.0, 0.0, True)
-    points = np.asarray([p for p, _ in jumps])
-    weights = np.asarray([w for _, w in jumps])
     values = integrand_values(f, points)
     return IntegralResult(float(values @ weights), 0.0, True)
 
@@ -200,9 +198,9 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
     a = g.interval.a
     n = max(1, math.ceil((y - a) / mesh))
     cuts = np.linspace(a, y, n + 1)
-    jump_points = [p for p, _ in g.jumps_in(a, y)]
-    if jump_points:
-        cuts = np.unique(np.concatenate([cuts, np.asarray(jump_points)]))
+    jump_points = g.jumps_in(a, y)[:, 0]
+    if len(jump_points):
+        cuts = np.unique(np.concatenate([cuts, jump_points]))
     g_vals = g.evaluate_array(cuts)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     f_vals = integrand_values(f, mids)
@@ -266,11 +264,10 @@ class IntegralCurve:
     g at the point (0 elsewhere), so values - jumps is the left limit J(y-),
     and at_jump marks the jump points of g.
 
-    For a pure step integrator, J is a right-continuous step function of y:
-    constant_segments lists (lo, hi, value) triples with J == value on
-    [lo, hi) (on (lo, hi) for the leading segment starting at a), so sign
-    claims over whole ranges of y are exact. None when the integrator has a
-    nontrivial linear part.
+    For a pure step integrator J is a right-continuous step function of y,
+    constant between consecutive jump points: 0 from a up to the first one,
+    and values[at_jump][i] on [ys[at_jump][i], ys[at_jump][i + 1]) (up to b
+    for the last), so sign claims over whole ranges of y are exact.
     """
 
     ys: np.ndarray
@@ -278,7 +275,6 @@ class IntegralCurve:
     error_bounds: np.ndarray
     jumps: np.ndarray
     at_jump: np.ndarray
-    constant_segments: tuple[tuple[float, float, float], ...] | None
 
 
 def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -328,26 +324,18 @@ def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
     if outside.any():
         _require_upper_limit(g.interval, float(grid[outside][0]))
 
-    jump_list = g.jumps_in(a, b)
-    jump_ys = np.asarray([p for p, _ in jump_list], dtype=float)
+    jump_ys, weights = g.jumps_in(a, b).T
     ys = np.union1d(grid, jump_ys)
     at = np.searchsorted(ys, jump_ys)
     at_jump = np.zeros(len(ys), dtype=bool)
     at_jump[at] = True
     jumps = np.zeros(len(ys))
-    if jump_list:
-        jumps[at] = integrand_values(f, jump_ys) * np.asarray([w for _, w in jump_list])
+    if len(jump_ys):
+        jumps[at] = integrand_values(f, jump_ys) * weights
     values = np.cumsum(jumps)
     error_bounds = np.zeros(len(ys))
-
-    segments = None
-    if g.linear.is_constant():
-        levels = [0.0, *values[at].tolist()]
-        lows = [a, *jump_ys.tolist()]
-        highs = [*jump_ys.tolist(), b]
-        segments = tuple((lo, hi, v) for lo, hi, v in zip(lows, highs, levels) if lo < hi)
-    elif len(ys):
+    if not g.linear.is_constant() and len(ys):
         linear, error_bounds, _ = _linear_part(f, g.linear, ys, tol)
         values = values + linear
 
-    return IntegralCurve(ys, values, error_bounds, jumps, at_jump, segments)
+    return IntegralCurve(ys, values, error_bounds, jumps, at_jump)

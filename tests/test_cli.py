@@ -179,6 +179,12 @@ class TestIntegrateCommand:
         assert main(["integrate", "--f", "1e400", "--g", path, "--y", "0.5"]) == EXIT_PARSE
         assert "number '1e400' is not finite (at position 0)" in capsys.readouterr().err
 
+    def test_unfoldable_exponent_exits_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, BRICK_DOC)
+        assert main(["integrate", "--f", "x^(1/0)", "--g", path, "--y", "0.5"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "power exponent cannot be evaluated: division by zero (at position 2)" in err
+
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rscert
+from rscert.bv_core import Interval, StepFunction
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rscert.__path__))
 
@@ -50,3 +51,15 @@ def test_traced_names_resolve():
     for _, module, cls_name, attr, _ in tracing.METHODS:
         cls = getattr(importlib.import_module(module), cls_name, None)
         assert callable(getattr(cls, attr, None)), f"{module}.{cls_name}.{attr}"
+
+
+def test_traced_jump_count_is_the_number_of_jumps():
+    """The tracer counts StepFunction.jumps_in items as len(result)."""
+    tracing = _tracing()
+    [kind] = [kind for span, _, _, attr, kind in tracing.METHODS if attr == "jumps_in"]
+    step = StepFunction(Interval(0.0, 1.0), (0.25, 0.5, 0.75), (0.0, 1.0, 2.0, 3.0), 0.0)
+    result = step.jumps_in(0.0, 1.0)
+    assert len(result) == 4  # three breakpoints and the jump to the end value at 1
+    assert tracing._count(kind, (step, 0.0, 1.0), result) == 4
+    assert len(step.jumps_in(0.3, 0.6)) == 1
+    assert len(step.jumps_in(0.5, 0.5)) == 0

@@ -145,6 +145,47 @@ class TestAgainstTreeWalk:
         assert_matches_reference(e, POINTS)
 
 
+class TestOneEvaluator:
+    """evaluate(x) reads the compiled program: evaluate_array on one point."""
+
+    def test_random_trees_scalar_equals_array(self):
+        rng = np.random.default_rng(20261018)
+        interval = Interval(float(POINTS.min()), float(POINTS.max()))
+        raised = 0
+        for _ in range(400):
+            spec = IntegrandSpec(random_tree(rng, int(rng.integers(0, 6))), interval,
+                                 Lipschitz(1.0))
+            for x in POINTS.tolist():
+                try:
+                    want = spec.evaluate_array(np.asarray([x]))[0]
+                except EvaluationError:
+                    with pytest.raises(EvaluationError):
+                        spec.evaluate(x)
+                    raised += 1
+                    continue
+                got = spec.evaluate(x)
+                assert type(got) is float
+                assert np.asarray(got).view(np.uint64) == np.asarray(want).view(np.uint64)
+        assert raised > 0
+
+    def test_infinite_exponent(self):
+        spec = IntegrandSpec(Power(X, math.inf), Interval(-1.0, 1.0), Lipschitz(1.0))
+        assert spec.evaluate(-0.5) == spec.evaluate_array(np.asarray([-0.5]))[0] == 0.0
+
+    @pytest.mark.parametrize("e", [
+        Power(Literal(-2.0), math.inf), Call("sin", BinaryOp("*", Literal(1e308), Literal(10.0))),
+    ])
+    def test_constant_without_real_value_has_no_pl_form(self, e):
+        assert IntegrandSpec(e, Interval(-1.0, 1.0), Lipschitz(1.0)).pl_form() is None
+
+    def test_overflow_is_an_evaluation_error_on_both_paths(self):
+        spec = IntegrandSpec(parse("x*1e308*10"), Interval(0.5, 1.0), Lipschitz(1.0))
+        with pytest.raises(EvaluationError, match=r"expression undefined at x=1\.0$"):
+            spec.evaluate(1.0)
+        with pytest.raises(EvaluationError, match=r"expression undefined at x=1\.0$"):
+            spec.evaluate_array(np.asarray([1.0]))
+
+
 class TestLaundering:
     """A later operation can turn a non-finite value back into a finite one;
     the point stays invalid."""

@@ -76,6 +76,31 @@ class TestParser:
         with pytest.raises(ParseError):
             parse("x^x")
 
+    @pytest.mark.parametrize("text, reason", [
+        ("x^(1/0)", "division by zero"),
+        ("x^(10^400)", "power evaluation failed"),
+        ("x^((0-8)^0.5)", "negative base -8.0 with non-integer exponent"),
+        ("x^(2*(0^-1))", "zero base with negative exponent"),
+        ("x^sin(10^300*10^300)", "sin(inf) is not a real number"),
+    ])
+    def test_unfoldable_constant_exponent_is_reported(self, text, reason):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert "must be a constant" not in str(err.value)
+        assert f"power exponent cannot be evaluated: {reason}" in str(err.value)
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("text", ["x^x", "x^(1/0*x)", "x^(x+10^400)"])
+    def test_exponent_mentioning_x_must_be_constant(self, text):
+        with pytest.raises(ParseError, match="power exponent must be a constant"):
+            parse(text)
+
+    @pytest.mark.parametrize("text, exponent", [
+        ("x^(1+0)", 1.0), ("x^(2-0)", 2.0), ("x^(3*0)", 0.0), ("x^(0/2)", 0.0),
+    ])
+    def test_zero_right_operand_folds(self, text, exponent):
+        assert parse(text) == Power(X, exponent)
+
     def test_scientific_literals(self):
         assert parse("1.5e-3") == Literal(1.5e-3)
         assert parse("2E+4") == Literal(2e4)

@@ -316,15 +316,15 @@ class TestCurve:
         g = StepFunction(UNIT, (0.25, 0.75), (0.0, 1.0, -0.5), -0.5)
         f = PiecewiseLinear(((0.0, 2.0), (1.0, 2.5)))
         c = curve(f, g, [1.0])
-        assert c.constant_segments is not None
-        for lo, hi, value in c.constant_segments:
+        # J is 0 up to the first jump and constant from each jump to the next
+        lows = [0.0, *c.ys[c.at_jump]]
+        highs = [*c.ys[c.at_jump], 1.0]
+        levels = [0.0, *c.values[c.at_jump]]
+        segments = [(lo, hi, v) for lo, hi, v in zip(lows, highs, levels) if lo < hi]
+        assert len(segments) == 3
+        for lo, hi, value in segments:
             for t in np.linspace(lo, hi, 7)[1:-1]:
                 assert rs_jump_exact(f, g, float(t)).value == pytest.approx(value, abs=1e-12)
-
-    def test_mixed_integrator_has_no_constancy_annotation(self):
-        g = BVFunction(StepFunction.brick(UNIT, 0.5, 1.0), IDENTITY)
-        c = curve(const_pl(1.0), g, [0.5, 1.0])
-        assert c.constant_segments is None
 
     def test_incremental_matches_direct_on_mixed_integrator(self):
         rng = sampling.make_rng(444)
