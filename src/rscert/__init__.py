@@ -16,10 +16,8 @@ from .bv_core import (
     PiecewiseLinear,
     StepFunction,
     jordan_decompose,
-    jumps,
     sampled_total_variation,
     slack,
-    total_variation,
 )
 from .funcspec import (
     EvaluationError,

@@ -103,7 +103,7 @@ class RangeBounds:
     certified: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Right-continuous pure-jump function on [a, b].
 
@@ -112,17 +112,20 @@ class StepFunction:
     independent of the last piece so that bricks like chi_[u, b) (end value 0)
     are representable. Construction canonicalizes: a breakpoint at b is folded
     away (its piece covers no points) and zero-size jumps are merged, so
-    adjacent stored piece values always differ.
+    adjacent stored piece values always differ. Both parts are stored as
+    read-only float64 arrays copied from the constructor's sequences, which
+    every reader uses directly; equality compares values, and the function
+    is unhashable.
     """
 
     interval: Interval
-    breakpoints: tuple[float, ...]
-    piece_values: tuple[float, ...]
+    breakpoints: np.ndarray
+    piece_values: np.ndarray
     end_value: float
 
     def __post_init__(self) -> None:
-        bp = np.asarray(self.breakpoints, dtype=float)
-        pv = np.asarray(self.piece_values, dtype=float)
+        bp = np.array(self.breakpoints, dtype=float)  # copies the function owns
+        pv = np.array(self.piece_values, dtype=float)
         if bp.ndim != 1 or pv.ndim != 1:
             raise ConstructionError("breakpoints and piece values must be flat sequences")
         _check_finite_array("piece value", pv)
@@ -147,9 +150,19 @@ class StepFunction:
         # real). Each run of equal values keeps its first, so comparing every
         # value with its predecessor equals comparing it with the last kept one.
         moved = pv[1:] != pv[:-1]
-        object.__setattr__(self, "breakpoints", tuple(bp[moved].tolist()))
-        object.__setattr__(self, "piece_values", tuple(pv[np.append(True, moved)].tolist()))
+        if not moved.all():
+            bp, pv = bp[moved], pv[np.append(True, moved)]
+        bp.flags.writeable = pv.flags.writeable = False
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "piece_values", pv)
         object.__setattr__(self, "end_value", float(self.end_value))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepFunction):
+            return NotImplemented
+        return (self.interval == other.interval and self.end_value == other.end_value
+                and np.array_equal(self.breakpoints, other.breakpoints)
+                and np.array_equal(self.piece_values, other.piece_values))
 
     @classmethod
     def constant(cls, interval: Interval, value: float = 0.0) -> "StepFunction":
@@ -163,7 +176,6 @@ class StepFunction:
         interval.require_subinterval(lo, hi)
         if lo == hi:
             return cls.constant(interval)
-        bp: tuple[float, ...]
         if lo == interval.a:
             bp, pv = (hi,), (height, 0.0)
         else:
@@ -176,26 +188,24 @@ class StepFunction:
         self.interval.require(x)
         if x == self.interval.b:
             return self.end_value
-        return self.piece_values[bisect_right(self.breakpoints, x)]
+        return self.piece_values[bisect_right(self.breakpoints, x)].item()
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < self.interval.a or xs.max() > self.interval.b):
             raise DomainError("points outside the function's interval")
-        vals = np.asarray(self.piece_values)[
-            np.searchsorted(self.breakpoints, xs, side="right")
-        ]
+        vals = self.piece_values[np.searchsorted(self.breakpoints, xs, side="right")]
         return np.where(xs == self.interval.b, self.end_value, vals)
 
     def left_limit(self, x: float) -> float:
         if not (self.interval.a < x <= self.interval.b):
             raise DomainError(f"left limit needs x in ({self.interval.a}, {self.interval.b}]")
-        return self.piece_values[bisect_left(self.breakpoints, x)]
+        return self.piece_values[bisect_left(self.breakpoints, x)].item()
 
     def right_limit(self, x: float) -> float:
         if not (self.interval.a <= x < self.interval.b):
             raise DomainError(f"right limit needs x in [{self.interval.a}, {self.interval.b})")
-        return self.piece_values[bisect_right(self.breakpoints, x)]
+        return self.piece_values[bisect_right(self.breakpoints, x)].item()
 
     # -- structure ----------------------------------------------------------
 
@@ -213,7 +223,7 @@ class StepFunction:
         breakpoints in (c, d] and, when d is b, the jump to end_value.
         """
         self.interval.require_subinterval(c, d)
-        bp, pv = np.asarray(self.breakpoints), np.asarray(self.piece_values)
+        bp, pv = self.breakpoints, self.piece_values
         lo, hi = np.searchsorted(bp, (c, d), side="right")
         points, weights = bp[lo:hi], np.diff(pv[lo : hi + 1])
         if c < d and d == self.interval.b and self.end_value != pv[-1]:
@@ -231,7 +241,7 @@ class StepFunction:
     def integral(self, c: float, d: float) -> float:
         """The plain Riemann integral of the step values over [c, d]."""
         self.interval.require_subinterval(c, d)
-        cuts = [c] + [p for p in self.breakpoints if c < p < d] + [d]
+        cuts = [c] + [p for p in self.breakpoints.tolist() if c < p < d] + [d]
         total = 0.0
         for lo, hi in zip(cuts, cuts[1:]):
             total += self.right_limit(lo) * (hi - lo)
@@ -242,81 +252,85 @@ class StepFunction:
     def __add__(self, other: "StepFunction") -> "StepFunction":
         if self.interval != other.interval:
             raise ConstructionError("cannot add step functions on different intervals")
-        bp = sorted(set(self.breakpoints) | set(other.breakpoints))
-        pv = [self.piece_values[0] + other.piece_values[0]]
-        for p in bp:
-            pv.append(
-                self.piece_values[bisect_right(self.breakpoints, p)]
-                + other.piece_values[bisect_right(other.breakpoints, p)]
-            )
-        return StepFunction(self.interval, tuple(bp), tuple(pv), self.end_value + other.end_value)
+        bp = np.union1d(self.breakpoints, other.breakpoints)
+        values = [g.piece_values[np.searchsorted(g.breakpoints, bp, side="right")]
+                  for g in (self, other)]
+        pv = np.append(self.piece_values[0] + other.piece_values[0], values[0] + values[1])
+        return StepFunction(self.interval, bp, pv, self.end_value + other.end_value)
 
     def scaled(self, factor: float) -> "StepFunction":
-        return StepFunction(
-            self.interval,
-            self.breakpoints,
-            tuple(factor * v for v in self.piece_values),
-            factor * self.end_value,
-        )
+        return StepFunction(self.interval, self.breakpoints, factor * self.piece_values,
+                            factor * self.end_value)
 
     def is_zero(self) -> bool:
-        return not self.breakpoints and self.piece_values[0] == 0.0 and self.end_value == 0.0
+        return not (self.breakpoints.size or self.end_value or self.piece_values[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinear:
     """Continuous piecewise-linear interpolant through strictly increasing knots.
 
     The first knot is at the interval's left endpoint and the last at the
-    right endpoint; total variation equals the sum of |y_{i+1} - y_i|.
+    right endpoint; total variation equals the sum of |y_{i+1} - y_i|. The
+    (x, y) pairs are stored once, copied into a read-only float64 (k, 2)
+    array ``knots`` laid out column by column as ``StepFunction.jumps_in``
+    is, so ``xs`` and ``ys`` are contiguous views of its columns; equality
+    compares values, and the function is unhashable.
     """
 
-    knots: tuple[tuple[float, float], ...]
-    interval: Interval = field(init=False, repr=False, compare=False)
-    xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    knots: np.ndarray
+    interval: Interval = field(init=False, repr=False)
+    xs: np.ndarray = field(init=False, repr=False)
+    ys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        kn = tuple((float(x), float(y)) for x, y in self.knots)
+        kn = np.asarray(self.knots, dtype=float)
         if len(kn) < 2:
             raise ConstructionError("piecewise-linear function needs at least two knots")
-        for (x, y) in kn:
-            _check_finite("knot", x, y)
-        for (x0, _), (x1, _) in zip(kn, kn[1:]):
-            if not x0 < x1:
-                raise ConstructionError(f"knot abscissae not strictly increasing at {x1!r}")
-        object.__setattr__(self, "knots", kn)
-        object.__setattr__(self, "interval", Interval(kn[0][0], kn[-1][0]))
-        object.__setattr__(self, "xs", tuple(x for x, _ in kn))
-        object.__setattr__(self, "ys", tuple(y for _, y in kn))
+        if kn.shape != (len(kn), 2):
+            raise ConstructionError("knots must be (x, y) pairs")
+        _check_finite_array("knot", kn.ravel())
+        unordered = np.flatnonzero(~(kn[:-1, 0] < kn[1:, 0]))
+        if unordered.size:
+            raise ConstructionError(
+                f"knot abscissae not strictly increasing at {kn[unordered[0] + 1, 0].item()!r}"
+            )
+        columns = np.array(kn.T, order="C")  # a copy the function owns
+        columns.flags.writeable = False
+        xs, ys = columns
+        object.__setattr__(self, "knots", columns.T)
+        object.__setattr__(self, "interval", Interval(xs[0].item(), xs[-1].item()))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PiecewiseLinear):
+            return NotImplemented
+        return np.array_equal(self.knots, other.knots)
 
     @classmethod
     def constant(cls, interval: Interval, value: float = 0.0) -> "PiecewiseLinear":
         return cls(((interval.a, value), (interval.b, value)))
 
-    def slopes(self) -> tuple[float, ...]:
-        return tuple(
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.knots, self.knots[1:])
-        )
+    def slopes(self) -> np.ndarray:
+        return np.diff(self.ys) / np.diff(self.xs)
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x: float) -> float:
         self.interval.require(x)
         i = min(max(bisect_right(self.xs, x), 1), len(self.xs) - 1) - 1
-        x0, y0 = self.knots[i]
-        x1, y1 = self.knots[i + 1]
+        (x0, x1), (y0, y1) = self.xs[i : i + 2].tolist(), self.ys[i : i + 2].tolist()
         if x == x1:
             return y1
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return float(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         """evaluate at every point, with the same arithmetic: equal bit for bit."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < self.interval.a or xs.max() > self.interval.b):
             raise DomainError("points outside the function's interval")
-        kx, ky = np.asarray(self.xs), np.asarray(self.ys)
+        kx, ky = self.xs, self.ys
         i = np.clip(np.searchsorted(kx, xs, side="right"), 1, len(kx) - 1) - 1
         x0, y0, x1, y1 = kx[i], ky[i], kx[i + 1], ky[i + 1]
         return np.where(xs == x1, y1, y0 + (y1 - y0) * (xs - x0) / (x1 - x0))
@@ -333,58 +347,50 @@ class PiecewiseLinear:
 
     # -- structure ----------------------------------------------------------
 
-    def _refined(self, c: float, d: float) -> list[float]:
-        self.interval.require_subinterval(c, d)
-        return [c] + [x for x in self.xs if c < x < d] + ([d] if d > c else [])
-
-    def total_variation(self, c: float | None = None, d: float | None = None) -> float:
+    def _refined(self, c: float | None, d: float | None) -> tuple[np.ndarray, np.ndarray]:
+        """c, the knots inside (c, d) and d (c alone when c == d), with the
+        values there; c and d default to the interval's ends."""
         c = self.interval.a if c is None else c
         d = self.interval.b if d is None else d
-        pts = self._refined(c, d)
-        vals = [self.evaluate(x) for x in pts]
-        return float(sum(abs(v1 - v0) for v0, v1 in zip(vals, vals[1:])))
+        self.interval.require_subinterval(c, d)
+        xs = self.xs
+        pts = np.concatenate(([c], xs[(c < xs) & (xs < d)], [d] if d > c else []))
+        return pts, self.evaluate_array(pts)
+
+    def total_variation(self, c: float | None = None, d: float | None = None) -> float:
+        return float(_running_sum(np.abs(np.diff(self._refined(c, d)[1])))[-1])
 
     def integral(self, c: float, d: float) -> float:
         """Exact Riemann integral over [c, d] (trapezoids are exact here)."""
-        pts = self._refined(c, d)
-        vals = [self.evaluate(x) for x in pts]
-        return float(
-            sum(
-                0.5 * (v0 + v1) * (x1 - x0)
-                for x0, x1, v0, v1 in zip(pts, pts[1:], vals, vals[1:])
-            )
-        )
+        pts, vals = self._refined(c, d)
+        return float(_running_sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts))[-1])
 
     def min_value(self, c: float | None = None, d: float | None = None) -> float:
-        c = self.interval.a if c is None else c
-        d = self.interval.b if d is None else d
-        pts = self._refined(c, d) or [c]
-        return min(self.evaluate(x) for x in pts)
+        vals = self._refined(c, d)[1]
+        return vals[vals.argmin()].item()  # the first of equal minima, as min() gives
 
     def max_value(self, c: float | None = None, d: float | None = None) -> float:
-        c = self.interval.a if c is None else c
-        d = self.interval.b if d is None else d
-        pts = self._refined(c, d) or [c]
-        return max(self.evaluate(x) for x in pts)
+        vals = self._refined(c, d)[1]
+        return vals[vals.argmax()].item()
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         if self.interval != other.interval:
             raise ConstructionError("cannot add functions on different intervals")
-        xs = sorted(set(self.xs) | set(other.xs))
+        xs = np.union1d(self.xs, other.xs)
         return PiecewiseLinear(
-            tuple((x, self.evaluate(x) + other.evaluate(x)) for x in xs)
+            np.column_stack((xs, self.evaluate_array(xs) + other.evaluate_array(xs)))
         )
 
     def shifted(self, offset: float) -> "PiecewiseLinear":
-        return PiecewiseLinear(tuple((x, y + offset) for x, y in self.knots))
+        return PiecewiseLinear(np.column_stack((self.xs, self.ys + offset)))
 
     def scaled(self, factor: float) -> "PiecewiseLinear":
-        return PiecewiseLinear(tuple((x, factor * y) for x, y in self.knots))
+        return PiecewiseLinear(np.column_stack((self.xs, factor * self.ys)))
 
     def is_constant(self) -> bool:
-        return all(y == self.ys[0] for y in self.ys)
+        return bool((self.ys == self.ys[0]).all())
 
     # -- the integrand protocol (shared with funcspec.IntegrandSpec) ---------
 
@@ -392,7 +398,7 @@ class PiecewiseLinear:
 
     def modulus_at(self, delta: float) -> float:
         """Exact modulus of continuity: the steepest |slope| times delta."""
-        return max((abs(s) for s in self.slopes()), default=0.0) * delta
+        return float(np.abs(self.slopes()).max() * delta)
 
     def pl_form(self) -> "PiecewiseLinear":
         return self
@@ -459,8 +465,8 @@ class BVFunction:
     def structural_points(self) -> tuple[float, ...]:
         """Interval endpoints, step breakpoints and linear knots, sorted."""
         pts = {self.interval.a, self.interval.b}
-        pts.update(self.step.breakpoints)
-        pts.update(self.linear.xs)
+        pts.update(self.step.breakpoints.tolist())
+        pts.update(self.linear.xs.tolist())
         return tuple(sorted(pts))
 
     @cached_property
@@ -475,7 +481,7 @@ class BVFunction:
         """
         step = self.step
         pts = np.asarray(self.structural_points())
-        bp, pv = np.asarray(step.breakpoints), np.asarray(step.piece_values)
+        bp, pv = step.breakpoints, step.piece_values
         values = pv[np.searchsorted(bp, pts, side="right")]
         values[-1] = step.end_value  # the last structural point is b
         left = pv[np.searchsorted(bp, pts, side="left")]
@@ -551,24 +557,6 @@ def jordan_decompose(g) -> JordanPair:
     neg_lin = PiecewiseLinear(np.column_stack((xs, _running_sum(np.maximum(-rise, 0.0)))))
 
     return JordanPair(BVFunction(pos_step, pos_lin), BVFunction(neg_step, neg_lin))
-
-
-def total_variation(g, c: float, d: float) -> float:
-    """Exact total variation of a BV representation on [c, d].
-
-    Additive by construction: jumps at interior points count fully, the jump
-    at d counts by its left-side difference, the (zero) right-side difference
-    at c is never double-counted.
-    """
-    if c > d:
-        raise DomainError(f"need c <= d, got c={c}, d={d}")
-    return as_bv_function(g).total_variation(c, d)
-
-
-def jumps(g, c: float, d: float) -> np.ndarray:
-    """All points of [c, d] where the one-sided limits differ, with signed
-    sizes: the (k, 2) array of StepFunction.jumps_in."""
-    return as_bv_function(g).jumps_in(c, d)
 
 
 def sampled_total_variation(f, c: float, d: float, partition_size: int) -> float:

@@ -33,7 +33,6 @@ from .bv_core import (
     jordan_decompose,
     sampled_total_variation,
     slack,
-    total_variation,
 )
 from .funcspec import (
     EvaluationError,
@@ -132,7 +131,7 @@ def integrator_from_doc(doc, path: str = "$") -> BVFunction:
             pv = _as_numbers(_need(doc, "piece_values", path),
                              lambda i: f"{path}.piece_values[{i}]")
             end = _as_number(_need(doc, "end_value", path), path + ".end_value")
-            return BVFunction.from_step(StepFunction(interval, tuple(bp), tuple(pv), end))
+            return BVFunction.from_step(StepFunction(interval, bp, pv, end))
         if kind == "piecewise_linear":
             knots = _need(doc, "knots", path)
             for i, pair in enumerate(knots):
@@ -140,7 +139,7 @@ def integrator_from_doc(doc, path: str = "$") -> BVFunction:
                     raise SpecFileError("knot must be an [x, y] pair", f"{path}.knots[{i}]")
             flat = _as_numbers([v for pair in knots for v in pair],
                                lambda i: f"{path}.knots[{i // 2}][{i % 2}]")
-            return BVFunction.from_linear(PiecewiseLinear(tuple(zip(flat[0::2], flat[1::2]))))
+            return BVFunction.from_linear(PiecewiseLinear(list(zip(flat[0::2], flat[1::2]))))
         if kind == "sum":
             parts = _need(doc, "parts", path)
             if not parts:
@@ -176,11 +175,11 @@ def integrator_to_doc(g: BVFunction) -> dict:
     step_doc = {
         "type": "step",
         "interval": [g.interval.a, g.interval.b],
-        "breakpoints": list(g.step.breakpoints),
-        "piece_values": list(g.step.piece_values),
+        "breakpoints": g.step.breakpoints.tolist(),
+        "piece_values": g.step.piece_values.tolist(),
         "end_value": g.step.end_value,
     }
-    linear_doc = {"type": "piecewise_linear", "knots": [list(k) for k in g.linear.knots]}
+    linear_doc = {"type": "piecewise_linear", "knots": g.linear.knots.tolist()}
     step_trivial = g.step.is_zero()
     linear_trivial = g.linear.is_constant() and g.linear.ys[0] == 0.0
     if linear_trivial:
@@ -504,11 +503,11 @@ def _selftest_jordan(rng) -> tuple[int, int]:
             lhs = pair.pos.evaluate(x) - pair.neg.evaluate(x)
             if abs(lhs - (g.evaluate(x) - base)) > slack(lhs):
                 ok = False
-        v = total_variation(g, interval.a, interval.b)
+        v = g.total_variation(interval.a, interval.b)
         if abs(pair.pos.evaluate(interval.b) + pair.neg.evaluate(interval.b) - v) > slack(v):
             ok = False
         c = sampling.random_upper_limit(rng, interval)
-        add = total_variation(g, interval.a, c) + total_variation(g, c, interval.b)
+        add = g.total_variation(interval.a, c) + g.total_variation(c, interval.b)
         if abs(add - v) > slack(v):
             ok = False
         good += ok

@@ -213,17 +213,23 @@ def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
 
     if not crests[0] <= b:
         return FamilyReport(False, count, 1, "interleaving",
-                            f"crest(1)={crests[0]!r} exceeds the domain end {b!r}", 0.0), values
-    for n in range(count):
-        lo, hi = troughs[n], crests[n]
-        if not (a < lo < hi):
-            return FamilyReport(False, count, n + 1, "interleaving",
-                                f"need {a!r} < trough < crest at n={n + 1}", 0.0), values
-        if n + 1 < count and not crests[n + 1] < troughs[n]:
-            return FamilyReport(False, count, n + 2, "interleaving",
-                                f"crest({n + 2}) does not stay below trough({n + 1})", 0.0), values
+                            f"crest(1)={crests[0].item()!r} exceeds the domain end {b!r}",
+                            0.0), values
+    # index i checks a < trough(i + 1) < crest(i + 1), then crest(i + 2) <
+    # trough(i + 1); the first index failing either reports, the first check
+    # taking precedence
+    ordered = (a < troughs) & (troughs < crests)
+    apart = np.append(crests[1:] < troughs[:-1], True)
+    bad = np.flatnonzero(~(ordered & apart))
+    if bad.size:
+        i = int(bad[0])
+        if not ordered[i]:
+            return FamilyReport(False, count, i + 1, "interleaving",
+                                f"need {a!r} < trough < crest at n={i + 1}", 0.0), values
+        return FamilyReport(False, count, i + 2, "interleaving",
+                            f"crest({i + 2}) does not stay below trough({i + 1})", 0.0), values
 
-    horizon_gap = crests[-1] - a
+    horizon_gap = crests[-1].item() - a
     far_gap = fam.crest(64 * count) - a
     if not far_gap <= max(horizon_gap / 4.0, slack(horizon_gap)):
         return FamilyReport(False, count, count, "convergence",
@@ -240,7 +246,8 @@ def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
     if bad.size:
         n = int(bad[0]) + 1
         return FamilyReport(False, count, n, "oscillation",
-                            f"f(crest)-f(trough)={rises[bad[0]]!r} < alpha*n^-gamma={required[bad[0]]!r} at n={n}",
+                            f"f(crest)-f(trough)={rises[bad[0]].item()!r} < "
+                            f"alpha*n^-gamma={required[bad[0]].item()!r} at n={n}",
                             horizon_gap), values
     return FamilyReport(True, count, None, None, "all checks passed", horizon_gap), values
 

@@ -97,10 +97,8 @@ class VariationMeasure:
 def variation_measure(f: PiecewiseLinear) -> VariationMeasure:
     """The variation measure of a continuous piecewise-linear function:
     density |slope| on each knot interval, no atoms."""
-    pieces = tuple(
-        (x0, x1, abs((y1 - y0) / (x1 - x0)))
-        for (x0, y0), (x1, y1) in zip(f.knots, f.knots[1:])
-    )
+    xs = f.xs.tolist()
+    pieces = tuple(zip(xs, xs[1:], np.abs(f.slopes()).tolist()))
     return VariationMeasure(f.interval, (), pieces)
 
 
@@ -150,7 +148,7 @@ class WeightedMeasure:
             cuts = sorted(
                 {seg_lo, seg_hi}
                 | {x for x in u.structural_points() if seg_lo < x < seg_hi}
-                | {x for x in f.xs if seg_lo < x < seg_hi}
+                | {x for x in f.xs.tolist() if seg_lo < x < seg_hi}
             )
             for x0, x1 in zip(cuts, cuts[1:]):
                 total += dens * _affine_ratio_integral(u, f, x0, x1)
@@ -351,7 +349,7 @@ def gronwall_verify(u, mu: WeightedMeasure, strictness: float) -> GronwallVerdic
     pts = set(u.structural_points()) | {b}
     pts.update(p for p, _ in mu.base.atoms)
     pts.update(x for piece in mu.base.density_pieces for x in piece[:2])
-    pts.update(x for x in mu.weight_denominator.xs)
+    pts.update(mu.weight_denominator.xs.tolist())
     pts = sorted(p for p in pts if a <= p <= b)
     probes: list[tuple[float, float]] = []  # (y, u-value approached at y)
     for x0, x1 in zip(pts, pts[1:]):

@@ -82,7 +82,7 @@ def random_nonnegative_step(rng: np.random.Generator, interval: Interval,
     """g >= 0 with g(a) = 0 and at least one strictly positive value."""
     while True:
         g = random_step(rng, interval, max_jumps, nonnegative=True, start_zero=True)
-        if max(g.piece_values) > 0.0 or g.end_value > 0.0:
+        if g.piece_values.max() > 0.0 or g.end_value > 0.0:
             return g
 
 

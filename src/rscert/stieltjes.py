@@ -94,7 +94,8 @@ def rs_jump_exact(f, g: StepFunction | BVFunction, y: float) -> IntegralResult:
 def _clipped_pieces(g: PiecewiseLinear, lo_limit: float, hi_limit: float) -> list[tuple[float, float, float]]:
     """(lo, hi, slope) for each sloped linear piece of g clipped to [lo_limit, hi_limit]."""
     out = []
-    for (x0, y0), (x1, y1) in zip(g.knots, g.knots[1:]):
+    xs, ys = g.xs.tolist(), g.ys.tolist()
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
         lo = max(x0, lo_limit)
         hi = min(x1, hi_limit)
         if hi <= lo:
@@ -232,9 +233,10 @@ def _as_pure_pl(f) -> PiecewiseLinear:
     if isinstance(f, PiecewiseLinear):
         return f
     if isinstance(f, BVFunction):
-        if f.step.breakpoints or f.step.end_value != f.step.piece_values[0]:
+        level = f.step.piece_values[0].item()
+        if f.step.breakpoints.size or f.step.end_value != level:
             raise DomainError("integration by parts needs a continuous (pure PL) integrand")
-        return f.linear.shifted(f.step.piece_values[0])
+        return f.linear.shifted(level)
     raise TypeError("integration by parts needs a piecewise-linear integrand")
 
 

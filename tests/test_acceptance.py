@@ -13,7 +13,6 @@ from rscert.bv_core import (
     jordan_decompose,
     sampled_total_variation,
     slack,
-    total_variation,
 )
 from rscert.stieltjes import (
     integration_by_parts_residual,
@@ -237,10 +236,10 @@ def test_criterion_10_jordan_variation_invariants():
         for _ in range(100):
             interval = sampling.random_interval(rng)
             g = sampling.random_bv(rng, interval)
-            full = total_variation(g, interval.a, interval.b)
+            full = g.total_variation(interval.a, interval.b)
             for _ in range(100):
                 c = sampling.random_upper_limit(rng, interval)
-                parts = total_variation(g, interval.a, c) + total_variation(g, c, interval.b)
+                parts = g.total_variation(interval.a, c) + g.total_variation(c, interval.b)
                 assert abs(parts - full) <= slack(full)
 
             pair = jordan_decompose(g)

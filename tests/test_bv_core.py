@@ -13,10 +13,8 @@ from rscert.bv_core import (
     PiecewiseLinear,
     StepFunction,
     jordan_decompose,
-    jumps,
     sampled_total_variation,
     slack,
-    total_variation,
 )
 from rscert.counterexample import power_sine_family
 from rscert import sampling
@@ -106,9 +104,9 @@ class TestStepFunction:
                 continue
             g = StepFunction(UNIT, tuple(bp), tuple(pv), end)
             # repr tells 0.0 from -0.0: the first value of each run is kept
-            assert list(map(repr, g.breakpoints)) == list(map(repr, expected[0]))
-            assert list(map(repr, g.piece_values)) == list(map(repr, expected[1]))
-            assert all(type(v) is float for v in g.breakpoints + g.piece_values)
+            assert list(map(repr, g.breakpoints.tolist())) == list(map(repr, expected[0]))
+            assert list(map(repr, g.piece_values.tolist())) == list(map(repr, expected[1]))
+            assert g.breakpoints.dtype == g.piece_values.dtype == np.float64
             outcomes.add("built at b" if bp and bp[-1] == 1.0 else "built")
         assert outcomes >= {"built", "built at b", "piece", "breakpoint", "breakpoints", "need"}
 
@@ -137,12 +135,12 @@ class TestStepFunction:
 
     def test_canonicalization_merges_equal_pieces(self):
         g = StepFunction(UNIT, (0.25, 0.5, 0.75), (0.0, 0.0, 1.0, 1.0), 0.0)
-        assert g.breakpoints == (0.5,)
-        assert g.piece_values == (0.0, 1.0)
+        assert list(map(repr, g.breakpoints.tolist())) == ["0.5"]
+        assert list(map(repr, g.piece_values.tolist())) == ["0.0", "1.0"]
 
     def test_breakpoint_at_right_end_is_folded(self):
         g = StepFunction(UNIT, (0.5, 1.0), (0.0, 1.0, 5.0), 0.0)
-        assert g.breakpoints == (0.5,)
+        assert list(map(repr, g.breakpoints.tolist())) == ["0.5"]
         assert g.evaluate(1.0) == 0.0
         assert g.left_limit(1.0) == 1.0
 
@@ -173,7 +171,44 @@ class TestStepFunction:
         assert g.evaluate(0.7) == 2.0
 
 
+def pl_reference(knots):
+    """PiecewiseLinear's stored knots as a list of pairs, or its
+    ConstructionError message, by the per-knot loops it once ran."""
+    kn = [(float(x), float(y)) for x, y in knots]
+    if len(kn) < 2:
+        return "piecewise-linear function needs at least two knots"
+    for x, y in kn:
+        for v in (x, y):
+            if not math.isfinite(v):
+                return f"knot must be finite, got {v!r}"
+    for (x0, _), (x1, _) in zip(kn, kn[1:]):
+        if not x0 < x1:
+            return f"knot abscissae not strictly increasing at {x1!r}"
+    return [list(k) for k in kn]
+
+
 class TestPiecewiseLinear:
+    def test_construction_matches_loop_reference(self):
+        rng = np.random.default_rng(77)
+        outcomes = set()
+        for _ in range(400):
+            k = int(rng.integers(0, 8))
+            knots = np.column_stack((np.sort(rng.uniform(-1.0, 1.0, k)), rng.normal(size=k)))
+            for _ in range(int(rng.integers(0, 3))):
+                if k:
+                    i, j = int(rng.integers(0, k)), int(rng.integers(0, 2))
+                    knots[i, j] = rng.choice([np.nan, np.inf, -np.inf, knots[i - 1, 0]])
+            expected = pl_reference(knots.tolist())
+            if isinstance(expected, str):
+                with pytest.raises(ConstructionError) as err:
+                    PiecewiseLinear(knots.tolist())
+                assert str(err.value) == expected
+                outcomes.add(" ".join(expected.split(" ")[:2]))
+            else:
+                assert PiecewiseLinear(knots.tolist()).knots.tolist() == expected
+                outcomes.add("built")
+        assert outcomes == {"built", "piecewise-linear function", "knot must", "knot abscissae"}
+
     def test_interpolation(self):
         f = PiecewiseLinear(((0.0, 0.0), (1.0, 2.0)))
         assert f.evaluate(0.25) == pytest.approx(0.5)
@@ -211,6 +246,94 @@ class TestPiecewiseLinear:
             PiecewiseLinear(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
 
 
+STEP_PARTS = ((0.25, 0.5, 0.75), (0.0, 1.0, -2.0, 3.0), 0.5)
+KNOTS = ((0.0, 1.0), (0.3, -0.5), (1.0, 2.0))
+
+
+class TestStoredColumns:
+    """Both parts of a BVFunction are stored once, as read-only float64
+    arrays the function owns."""
+
+    @staticmethod
+    def parts():
+        g = StepFunction(UNIT, *STEP_PARTS)
+        f = PiecewiseLinear(KNOTS)
+        return g, f, (g.breakpoints, g.piece_values, f.knots, f.xs, f.ys)
+
+    def test_parts_are_read_only_float64(self):
+        for part in self.parts()[2]:
+            assert part.dtype == np.float64
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 9.0
+
+    def test_tuples_lists_and_arrays_build_equal_functions(self):
+        bp, pv, end = STEP_PARTS
+        steps = [StepFunction(UNIT, conv(bp), conv(pv), end)
+                 for conv in (tuple, list, np.array, lambda v: np.array(v, dtype=np.float32))]
+        assert steps[0] == steps[1] == steps[2]
+        assert steps[3].breakpoints.dtype == np.float64
+        lists = [list(k) for k in KNOTS]
+        lines = [PiecewiseLinear(k) for k in (KNOTS, lists, np.array(KNOTS),
+                                              np.asfortranarray(KNOTS))]
+        assert lines[0] == lines[1] == lines[2] == lines[3]
+
+    def test_writing_to_the_arguments_changes_nothing(self):
+        bp, pv, end = (np.array(v, dtype=float) for v in STEP_PARTS)
+        knots = np.array(KNOTS)
+        columns = np.array(KNOTS).T.copy()  # a (k, 2) view laid out by column
+        g = StepFunction(UNIT, bp, pv, end)
+        f, f_cols = PiecewiseLinear(knots), PiecewiseLinear(columns.T)
+        bp[0], pv[:] = 0.1, 7.0
+        knots[1] = (0.9, 9.0)
+        columns[1, 1] = 9.0
+        expected = self.parts()
+        assert g == expected[0]
+        assert f == f_cols == expected[1]
+
+    def test_xs_and_ys_are_contiguous_views_of_knots(self):
+        f = PiecewiseLinear(KNOTS)
+        assert f.knots.shape == (3, 2)
+        for column, values in ((f.xs, [0.0, 0.3, 1.0]), (f.ys, [1.0, -0.5, 2.0])):
+            assert np.shares_memory(column, f.knots)
+            assert column.flags.c_contiguous
+            assert column.tolist() == values
+
+    def test_scalar_reads_are_python_floats(self):
+        g, f, _ = self.parts()
+        for h in (g, f, BVFunction(g, f)):
+            reads = [h.evaluate(0.4), h.evaluate(0.5), h.evaluate(1.0), h.left_limit(0.5),
+                     h.left_limit(1.0), h.right_limit(0.0), h.right_limit(0.75),
+                     h.total_variation(), h.total_variation(0.2, 0.6), h.integral(0.1, 0.9)]
+            assert all(type(v) is float for v in reads), h
+        reads = [f.min_value(), f.max_value(0.1, 0.2), f.modulus_at(0.01),
+                 f.enclose(0.0, 1.0).lower]
+        assert all(type(v) is float for v in reads)
+
+    def test_equality_fails_when_any_one_element_differs(self):
+        g, f, _ = self.parts()
+        bp, pv, end = list(STEP_PARTS[0]), list(STEP_PARTS[1]), STEP_PARTS[2]
+
+        def bump(x):
+            return float(np.nextafter(x, np.inf))
+
+        for i in range(len(bp)):
+            assert g != StepFunction(UNIT, bp[:i] + [bump(bp[i])] + bp[i + 1:], pv, end)
+        for i in range(len(pv)):
+            assert g != StepFunction(UNIT, bp, pv[:i] + [bump(pv[i])] + pv[i + 1:], end)
+        assert g != StepFunction(UNIT, bp, pv, bump(end))
+        assert g != StepFunction(Interval(0.0, bump(1.0)), bp, pv, end)
+        for i in range(len(KNOTS)):
+            for j in range(2):
+                knots = np.array(KNOTS)
+                knots[i, j] = bump(knots[i, j])
+                assert f != PiecewiseLinear(knots)
+        assert g == StepFunction(UNIT, bp, pv, end) and f == PiecewiseLinear(KNOTS)
+        for h in (g, f, BVFunction(g, f)):
+            with pytest.raises(TypeError):
+                hash(h)
+
+
 class TestStructuralProfile:
     def test_matches_scalar_reads_bit_for_bit(self):
         rng = sampling.make_rng(5151)
@@ -246,11 +369,11 @@ class TestStructuralProfile:
 class TestJumps:
     def test_brick_jumps(self):
         g = brick(0.3, 0.6)
-        assert jumps(g, 0.0, 1.0).tolist() == [[0.3, 1.0], [0.6, -1.0]]
+        assert g.jumps_in(0.0, 1.0).tolist() == [[0.3, 1.0], [0.6, -1.0]]
 
     def test_pl_has_no_jumps(self):
         f = BVFunction.from_linear(PiecewiseLinear(((0.0, 0.0), (1.0, 2.0))))
-        assert jumps(f, 0.0, 1.0).tolist() == []
+        assert f.jumps_in(0.0, 1.0).tolist() == []
 
     def test_two_brick_sum_jump_listing(self):
         _, fam = power_sine_family(0.5)
@@ -263,7 +386,7 @@ class TestJumps:
             (fam.trough(1), 1.0),
             (fam.crest(1), -1.0),
         ]
-        got = jumps(h, 0.0, 1.0)
+        got = h.jumps_in(0.0, 1.0)
         assert [p for p, _ in got] == sorted(p for p, _ in expected)
         for (p, w), (q, v) in zip(got, expected):
             assert p == pytest.approx(q)
@@ -271,35 +394,35 @@ class TestJumps:
 
     def test_end_jump_reported_one_sided(self):
         g = brick(0.5, 1.0)
-        assert jumps(g, 0.7, 1.0).tolist() == [[1.0, -1.0]]
+        assert g.jumps_in(0.7, 1.0).tolist() == [[1.0, -1.0]]
 
 
 class TestTotalVariation:
     def test_vee_pl(self):
         f = PiecewiseLinear(((0.0, 0.5), (0.5, 0.0), (1.0, 0.5)))
-        assert total_variation(f, 0.0, 1.0) == pytest.approx(1.0)
+        assert f.total_variation(0.0, 1.0) == pytest.approx(1.0)
 
     def test_constant_region_of_brick(self):
         g = brick(0.3, 0.6)
-        assert total_variation(g, 0.4, 0.5) == 0.0
+        assert g.total_variation(0.4, 0.5) == 0.0
 
     def test_brick_full_interval(self):
         g = brick(0.3, 0.6)
-        assert total_variation(g, 0.0, 1.0) == pytest.approx(2.0)
+        assert g.total_variation(0.0, 1.0) == pytest.approx(2.0)
 
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(DomainError):
-            total_variation(brick(0.3, 0.6), 0.7, 0.2)
+            brick(0.3, 0.6).total_variation(0.7, 0.2)
 
     def test_additivity_random_instances(self):
         rng = sampling.make_rng(1001)
         for _ in range(100):
             interval = sampling.random_interval(rng)
             g = sampling.random_bv(rng, interval)
-            full = total_variation(g, interval.a, interval.b)
+            full = g.total_variation(interval.a, interval.b)
             for _ in range(20):
                 c = sampling.random_upper_limit(rng, interval)
-                split = total_variation(g, interval.a, c) + total_variation(g, c, interval.b)
+                split = g.total_variation(interval.a, c) + g.total_variation(c, interval.b)
                 assert abs(split - full) <= slack(full)
 
     def test_zero_tolerance_shows_why_slack_exists(self):
@@ -311,11 +434,11 @@ class TestTotalVariation:
         for _ in range(200):
             interval = sampling.random_interval(rng)
             g = sampling.random_bv(rng, interval)
-            full = total_variation(g, interval.a, interval.b)
+            full = g.total_variation(interval.a, interval.b)
             for _ in range(10):
                 c = sampling.random_upper_limit(rng, interval)
                 total += 1
-                split = total_variation(g, interval.a, c) + total_variation(g, c, interval.b)
+                split = g.total_variation(interval.a, c) + g.total_variation(c, interval.b)
                 if split != full:
                     mismatches += 1
                 assert abs(split - full) <= slack(full)
@@ -326,7 +449,7 @@ class TestTotalVariation:
         for _ in range(25):
             interval = sampling.random_interval(rng)
             g = sampling.random_bv(rng, interval)
-            v = total_variation(g, interval.a, interval.b)
+            v = g.total_variation(interval.a, interval.b)
             parts = g.step.total_variation() + g.linear.total_variation()
             assert v == pytest.approx(parts)
 
@@ -337,7 +460,7 @@ class TestTotalVariation:
         for _ in range(50):
             x = float(rng.uniform(0.0, 1.0 - 1e-3))
             delta = float(rng.uniform(1e-6, 1e-3))
-            gap = total_variation(f, 0.0, x + delta) - total_variation(f, 0.0, x)
+            gap = f.total_variation(0.0, x + delta) - f.total_variation(0.0, x)
             assert 0.0 <= gap <= steepest * delta + slack(gap)
 
 
@@ -383,7 +506,7 @@ class TestJordan:
             for x in pts + mids:
                 recon = pair.pos.evaluate(x) - pair.neg.evaluate(x)
                 assert abs(recon - (g.evaluate(x) - base)) <= slack(recon)
-            v = total_variation(g, interval.a, interval.b)
+            v = g.total_variation(interval.a, interval.b)
             minimal = pair.pos.evaluate(interval.b) + pair.neg.evaluate(interval.b)
             assert abs(minimal - v) <= slack(v)
 

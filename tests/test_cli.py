@@ -454,6 +454,43 @@ class TestRepeatedMain:
             cli._parser.cache_clear()
 
 
+class TestNoNumpyScalarText:
+    """numpy 2 writes a numpy scalar as np.float64(...) under !r; no verb
+    prints or writes one, on success or on an error path."""
+
+    def test_every_verb_and_an_error_path(self, tmp_path, capsys):
+        g_path = write_doc(tmp_path, BRICK_DOC)
+        ramp = {"type": "piecewise_linear", "knots": [[0.0, 0.0], [1.0, 1.0]]}
+        mixed = write_doc(tmp_path, {"type": "sum", "parts": [BRICK_DOC, ramp]}, "mixed.json")
+        unordered = write_doc(tmp_path, {"type": "piecewise_linear", "knots": [
+            [0.0, 0.0], [0.6, 1.0], [0.4, 2.0], [1.0, 0.0]]}, "unordered.json")
+        files = [tmp_path / name for name in ("cert.json", "g_out.json", "fig.csv",
+                                              "fig_f.csv", "fig_g.csv")]
+        counterexample = ["counterexample", "--gamma", "0.5", "--beta", "1.5", "--N", "400"]
+        runs = [
+            (["integrate", "--f", "x^2+1", "--g", mixed, "--y", "0.75"], EXIT_OK),
+            (["integrate", "--f", "2", "--g", g_path, "--y", "1.5"], EXIT_PARSE),
+            (["search-positive", "--f", "x+1", "--g", g_path], EXIT_OK),
+            (["search-positive", "--f", "x+1", "--g", unordered], EXIT_PARSE),
+            (counterexample + ["--out-certificate", str(files[0]), "--out-g", str(files[1])],
+             EXIT_OK),
+            (counterexample + ["--n0", "1"], EXIT_PARSE),
+            (["reproduce-figure", "--out", str(files[2])], EXIT_OK),
+            (["reproduce-figure", "--out", str(tmp_path / "missing" / "fig.csv")], EXIT_PARSE),
+            (["selftest", "--seed", "5"], EXIT_OK),
+        ]
+        texts = []
+        for argv, code in runs:
+            assert main(argv) == code, argv
+            out, err = capsys.readouterr()
+            assert out or err, argv
+            texts += [out, err]
+        texts += [path.read_text() for path in files]
+        assert "not strictly increasing at 0.4" in "".join(texts)
+        for text in texts:
+            assert "np.float64(" not in text
+
+
 class TestExitCodeTable:
     def test_documented_values(self):
         assert (EXIT_OK, EXIT_SELFTEST, EXIT_PARSE, EXIT_EVAL) == (0, 1, 2, 3)

@@ -116,6 +116,111 @@ class TestValidateFamily:
         assert report.violation_kind in ("convergence", "oscillation")
 
 
+def interleaving_reference(fam, count, b):
+    """validate_family's interleaving verdict on a domain ending at b,
+    (index, detail) of the first violation or None, by the per-index loop
+    it once ran."""
+    a = fam.accumulation_point
+    troughs = [fam.trough(n) for n in range(1, count + 1)]
+    crests = [fam.crest(n) for n in range(1, count + 1)]
+    if not crests[0] <= b:
+        return 1, f"crest(1)={float(crests[0])!r} exceeds the domain end {b!r}"
+    for n in range(count):
+        lo, hi = troughs[n], crests[n]
+        if not (a < lo < hi):
+            return n + 1, f"need {a!r} < trough < crest at n={n + 1}"
+        if n + 1 < count and not crests[n + 1] < troughs[n]:
+            return n + 2, f"crest({n + 2}) does not stay below trough({n + 1})"
+    return None
+
+
+class TestInterleavingMatchesLoopReference:
+    M = 40
+
+    @staticmethod
+    def tables(m, seed=3):
+        """Valid descending points: trough(n) < crest(n) < trough(n - 1),
+        in tables indexed by n (entry 0 unused), padded with zeros up to the
+        crest(64 * m) that the convergence check reads."""
+        edges = np.sort(np.random.default_rng(seed).uniform(0.01, 1.0, size=2 * m))[::-1]
+        pad = np.zeros(63 * m)
+        return (np.concatenate([[np.nan], edges[1::2], pad]),
+                np.concatenate([[np.nan], edges[0::2], pad]))
+
+    def check(self, f, troughs, crests, m):
+        fam = table_family(troughs, crests)
+        expected = interleaving_reference(fam, m, f.interval.b)
+        report = validate_family(f, fam, m)
+        if expected is None:
+            assert report.violation_kind != "interleaving"
+        else:
+            assert report.violation_kind == "interleaving"
+            assert (report.violation_index, report.detail) == expected
+        return expected
+
+    def test_named_cases(self, family):
+        f, _ = family
+        m = self.M
+
+        def swapped(n):
+            t, c = self.tables(m)
+            t[n], c[n] = c[n], t[n]
+            return t, c
+
+        def tied(n):  # crest(n + 1) == trough(n)
+            t, c = self.tables(m)
+            c[n + 1] = t[n]
+            return t, c
+
+        def nan_trough(n):
+            t, c = self.tables(m)
+            t[n] = np.nan
+            return t, c
+
+        def both_at(n):  # both checks of one index fail: the first reports
+            t, c = swapped(n)
+            c[n + 1] = t[n]
+            return t, c
+
+        cases = {
+            "at 1": (swapped(1), (1, "need")),
+            "mid-way": (swapped(m // 2), (m // 2, "need")),
+            "at the last index": (swapped(m), (m, "need")),
+            "tie": (tied(7), (8, "crest(8)")),
+            "tie at the last index": (tied(m - 1), (m, f"crest({m})")),
+            "NaN trough": (nan_trough(11), (11, "need")),
+            "both checks at one index": (both_at(5), (5, "need")),
+        }
+        for name, ((t, c), (index, start)) in cases.items():
+            expected = self.check(f, t, c, m)
+            assert expected is not None and expected[0] == index, name
+            assert expected[1].startswith(start), name
+        assert self.check(f, *self.tables(m), m) is None
+
+    def test_random_faults(self, family):
+        f, _ = family
+        rng = np.random.default_rng(34)
+        found = set()
+        for trial in range(300):
+            m = int(rng.integers(1, 30))
+            troughs, crests = self.tables(m, seed=trial)
+            for _ in range(int(rng.integers(0, 4))):
+                n = int(rng.integers(1, m + 1))
+                fault = int(rng.integers(0, 4))
+                if fault == 0:
+                    troughs[n], crests[n] = crests[n], troughs[n]
+                elif fault == 1 and n < m:
+                    crests[n + 1] = troughs[n]
+                elif fault == 2:
+                    troughs[n] = float(rng.choice([0.0, -0.1, np.nan]))
+                else:
+                    crests[n] = troughs[n]
+            expected = self.check(f, troughs, crests, m)
+            found.add(None if expected is None else expected[1].split(" ")[0])
+        assert {None, "need"} <= found
+        assert any(kind.startswith("crest(") for kind in found - {None})
+
+
 def bricks_reference(fam, beta, truncation, first):
     """build_bricks' breakpoints and piece values, or its DomainError
     message, by the per-brick loop counting down from truncation."""
@@ -144,8 +249,8 @@ class TestBuildBricks:
             h = build_bricks(fam, beta, truncation, interval=UNIT, first=first)
             bp, values = bricks_reference(fam, beta, truncation, first)
             # bit for bit: heights n^-beta come from Python's pow
-            assert h.breakpoints == tuple(bp)
-            assert h.piece_values == tuple(values)
+            assert list(map(repr, h.breakpoints.tolist())) == list(map(repr, bp))
+            assert list(map(repr, h.piece_values.tolist())) == list(map(repr, values))
 
     def test_first_violation_counting_down_matches_loop_reference(self):
         rng = np.random.default_rng(8)
@@ -177,7 +282,7 @@ class TestBuildBricks:
                 kinds.add(expected.split(" at ")[0])
             else:
                 h = build_bricks(fam, 1.5, m, interval=UNIT, first=first)
-                assert h.breakpoints == tuple(expected[0])
+                assert h.breakpoints.tolist() == expected[0]
                 kinds.add("built")
         assert kinds == {"built", "interleaving violated", "bricks overlap"}
 
