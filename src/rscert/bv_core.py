@@ -113,9 +113,9 @@ class StepFunction:
     are representable. Construction canonicalizes: a breakpoint at b is folded
     away (its piece covers no points) and zero-size jumps are merged, so
     adjacent stored piece values always differ. Both parts are stored as
-    read-only float64 arrays copied from the constructor's sequences, which
-    every reader uses directly; equality compares values, and the function
-    is unhashable.
+    read-only float64 views of one array copied from the constructor's
+    sequences, which every reader uses directly; equality compares values,
+    and the function is unhashable.
     """
 
     interval: Interval
@@ -124,8 +124,8 @@ class StepFunction:
     end_value: float
 
     def __post_init__(self) -> None:
-        bp = np.array(self.breakpoints, dtype=float)  # copies the function owns
-        pv = np.array(self.piece_values, dtype=float)
+        bp = np.asarray(self.breakpoints, dtype=float)
+        pv = np.asarray(self.piece_values, dtype=float)
         if bp.ndim != 1 or pv.ndim != 1:
             raise ConstructionError("breakpoints and piece values must be flat sequences")
         _check_finite_array("piece value", pv)
@@ -152,9 +152,11 @@ class StepFunction:
         moved = pv[1:] != pv[:-1]
         if not moved.all():
             bp, pv = bp[moved], pv[np.append(True, moved)]
-        bp.flags.writeable = pv.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "piece_values", pv)
+        # one read-only copy the function owns, whose views refuse a flip back
+        columns = np.concatenate((bp, pv))
+        columns.flags.writeable = False
+        object.__setattr__(self, "breakpoints", columns[: len(bp)])
+        object.__setattr__(self, "piece_values", columns[len(bp) :])
         object.__setattr__(self, "end_value", float(self.end_value))
 
     def __eq__(self, other) -> bool:
@@ -241,11 +243,13 @@ class StepFunction:
     def integral(self, c: float, d: float) -> float:
         """The plain Riemann integral of the step values over [c, d]."""
         self.interval.require_subinterval(c, d)
-        cuts = [c] + [p for p in self.breakpoints.tolist() if c < p < d] + [d]
-        total = 0.0
-        for lo, hi in zip(cuts, cuts[1:]):
-            total += self.right_limit(lo) * (hi - lo)
-        return total
+        if c == d:
+            return 0.0
+        # cells cut at the breakpoints in (c, d), weighted by their right limits
+        bp = self.breakpoints
+        lo, hi = np.searchsorted(bp, c, side="right"), np.searchsorted(bp, d, side="left")
+        cuts = np.concatenate(([c], bp[lo:hi], [d]))
+        return float(_running_sum(self.piece_values[lo : hi + 1] * np.diff(cuts))[-1])
 
     # -- algebra ------------------------------------------------------------
 

@@ -279,8 +279,9 @@ def build_bricks(fam: OscillationFamily, beta: float, truncation: int,
     # descending n: trough(N), crest(N), trough(N - 1), crest(N - 1), ...
     breakpoints = np.column_stack([lo, hi])[::-1].ravel()
     values = np.zeros(breakpoints.size + 1)
-    # Python's pow: numpy's vector ** can differ from it in the last bit
-    values[1::2] = [float(n) ** (-beta) for n in range(truncation, first - 1, -1)]
+    # np.float_power gives Python's float(n) ** -beta bit for bit, as
+    # _index_records and tail_lower_bound do; numpy's vector ** may not
+    values[1::2] = np.float_power(ns[::-1], -beta)
     if interval is None:
         interval = Interval(fam.accumulation_point, float(hi[0]))
     return StepFunction(interval, breakpoints, values, 0.0)
@@ -339,14 +340,12 @@ def _index_records(fam: OscillationFamily, beta: float, truncation: int,
     ns = np.arange(1, truncation + 1)
     f_troughs, f_crests = values
     rises = f_crests - f_troughs
-    heights = ns.astype(float) ** (-beta)
+    heights = np.float_power(ns, -beta)  # build_bricks' heights, bit for bit
     # suffix[i] = sum of weighted[i+1:], the truncated tail past index i+1
     suffix = np.concatenate([np.cumsum((heights * rises)[::-1])[::-1], [0.0]])[1:]
     partials = heights * f_troughs - suffix
-    # tail_lower_bound at every n, with Python's pow as it uses: numpy's
-    # vector ** can differ from it in the last bit
     decay = beta + fam.gamma - 1.0
-    tails = fam.alpha / decay * np.array([float(k) ** (-decay) for k in range(3, truncation + 3)])
+    tails = fam.alpha / decay * np.float_power(ns + 2, -decay)  # tail_lower_bound at every n
     corrected = partials - remainder
     columns = (ns, partials, tails, corrected, _negative(corrected))
     for col in columns:

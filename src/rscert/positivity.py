@@ -30,7 +30,7 @@ from .bv_core import (
     jordan_decompose,
     slack,
 )
-from .stieltjes import IntegralCurve, _clipped_pieces, curve, rs_pl_integrator_exact
+from .stieltjes import IntegralCurve, _cells, curve, rs_pl_integrator_exact
 
 __all__ = [
     "PreconditionError",
@@ -320,9 +320,11 @@ def gdf_bound_check(f: PiecewiseLinear, g, y: float) -> tuple[float, float]:
     if not _structurally_nonnegative(g):
         raise PreconditionError("g must be non-negative", reason="sign")
     lhs = abs(rs_pl_integrator_exact(g, f, y).value)
+    cuts, slopes = _cells(f, np.array([y]))
     rhs = 0.0
-    for lo, hi, s in _clipped_pieces(f, f.interval.a, y):
-        rhs += abs(s) * g.integral(lo, hi)
+    for lo, hi, s in zip(cuts.tolist(), cuts[1:].tolist(), slopes.tolist()):
+        if s != 0.0:
+            rhs += abs(s) * g.integral(lo, hi)
     return lhs, float(rhs)
 
 

@@ -1,14 +1,12 @@
 """Riemann-Stieltjes integration of continuous integrands against BV integrators.
 
-The step part of an integrator is handled exactly (a finite sum of integrand
-values times jump weights, with the usual one-sided weights at the interval
-ends). The piecewise-linear part reduces to ordinary integrals slope-piece by
-slope-piece: exact in closed form when the integrand is itself piecewise
-linear, otherwise composite midpoint sums whose error is controlled by the
-integrand's declared modulus of continuity. A definitional Riemann-Stieltjes
-sum is kept alongside as an independent cross-check oracle. Cumulative
-curves y -> J(y) are computed in one pass over the integrator's jumps and
-knots; they are the one place that computes J at many points.
+The step part of an integrator is handled exactly (integrand values times jump
+weights, one-sided at the interval ends). The piecewise-linear part is one
+running sum over a grid of cells cut at a, the upper limits and the knots,
+with one integrator slope per cell: exact for a piecewise-linear integrand,
+otherwise midpoint sums bounded through the integrand's declared modulus of
+continuity. rs_bv reads the sum at one y and curve at many; a definitional
+Riemann-Stieltjes sum is an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from .bv_core import (
     DomainError,
     PiecewiseLinear,
     StepFunction,
+    _running_sum,
     as_bv_function,
 )
 from .funcspec import integrand_modulus, integrand_values
@@ -91,73 +90,62 @@ def rs_jump_exact(f, g: StepFunction | BVFunction, y: float) -> IntegralResult:
     return IntegralResult(float(values @ weights), 0.0, True)
 
 
-def _clipped_pieces(g: PiecewiseLinear, lo_limit: float, hi_limit: float) -> list[tuple[float, float, float]]:
-    """(lo, hi, slope) for each sloped linear piece of g clipped to [lo_limit, hi_limit]."""
-    out = []
-    xs, ys = g.xs.tolist(), g.ys.tolist()
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        lo = max(x0, lo_limit)
-        hi = min(x1, hi_limit)
-        if hi <= lo:
-            continue
-        slope = (y1 - y0) / (x1 - x0)
-        if slope != 0.0:
-            out.append((lo, hi, slope))
-    return out
+def _cells(lin: PiecewiseLinear, ys: np.ndarray, *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct cuts a, ys, lin's knots and any extra points, up to
+    ys[-1], and lin's slope on each cell between consecutive cuts."""
+    # sorted and masked: np.unique would import numpy.ma on its first call
+    cuts = np.sort(np.concatenate([[lin.interval.a], ys, lin.xs, *extra]))
+    cuts = cuts[(cuts <= ys[-1]) & np.append(True, cuts[1:] != cuts[:-1])]
+    return cuts, lin.slopes()[np.searchsorted(lin.xs, cuts[:-1], side="right") - 1]
 
 
-def _integrate_over_pieces(f, pieces, tol: float) -> IntegralResult:
-    """sum_i s_i * integral of f over piece i, with a modulus-driven bound."""
-    if not pieces:
-        return IntegralResult(0.0, 0.0, True)
+def _quadrature(f, lo: np.ndarray, length: np.ndarray, slope: np.ndarray,
+                tol: float) -> tuple[list[float], np.ndarray]:
+    """s * (midpoint sum of f) on each sloped cell [lo, lo + length], and the
+    terms |s| * length * omega_f(spacing) of its bound. Each cell gets
+    ceil(length / width) midpoints; width halves from the longest cell until
+    the bound, summed in cell order, meets tol, within the round and
+    evaluation caps."""
+    weight = np.abs(slope) * length
 
-    domain_len = f.interval.length
+    def counts(width: float) -> np.ndarray:
+        return np.maximum(1.0, np.ceil(length / width))
 
-    def bound_at(width: float) -> float:
-        total = 0.0
-        for lo, hi, s in pieces:
-            length = hi - lo
-            n = max(1, math.ceil(length / width))
-            total += abs(s) * length * integrand_modulus(f, min(length / n, domain_len))
-        return total
+    def bound_terms(width: float) -> np.ndarray:
+        # the modulus is asked once per distinct spacing
+        spacing = np.minimum(length / counts(width), f.interval.length)
+        spacings, at = np.unique(spacing, return_inverse=True)
+        return weight * np.array([integrand_modulus(f, d) for d in spacings.tolist()])[at]
 
-    width = max(hi - lo for lo, hi, _ in pieces)
-    best_width, best_bound = width, bound_at(width)
+    width = float(length.max())
+    best_width, best_terms = width, bound_terms(width)
+    best_bound = _running_sum(best_terms)[-1]
     for _ in range(REFINEMENT_ROUNDS):
-        if best_bound <= tol:
-            break
         width /= 2.0
-        points_needed = sum(max(1, math.ceil((hi - lo) / width)) for lo, hi, _ in pieces)
-        if points_needed > EVALUATION_BUDGET:
+        if best_bound <= tol or counts(width).sum() > EVALUATION_BUDGET:
             break
-        candidate = bound_at(width)
-        if candidate < best_bound:
-            best_width, best_bound = width, candidate
+        terms = bound_terms(width)
+        bound = _running_sum(terms)[-1]
+        if bound < best_bound:
+            best_width, best_terms, best_bound = width, terms, bound
 
-    total = 0.0
-    for lo, hi, s in pieces:
-        length = hi - lo
-        n = max(1, math.ceil(length / best_width))
-        mids = lo + (np.arange(n) + 0.5) * (length / n)
-        total += s * (length / n) * float(integrand_values(f, mids).sum())
-    if best_bound > tol:
-        raise ToleranceNotReached(
-            f"tolerance {tol} unreachable within the refinement cap; best bound {best_bound}",
-            total,
-            best_bound,
-        )
-    return IntegralResult(total, best_bound, not f.heuristic)
+    steps = []
+    for x, h, s, n in zip(lo.tolist(), length.tolist(), slope.tolist(),
+                          counts(best_width).astype(int).tolist()):
+        mids = x + (np.arange(n) + 0.5) * (h / n)
+        steps.append(s * (h / n) * float(integrand_values(f, mids).sum()))
+    return steps, best_terms
 
 
 def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -> IntegralResult:
     """Integral of f against a piecewise-linear integrator, with a bound.
 
-    The cumulative kernel read at y. Exact (bound 0, certified) when f has an
-    exact piecewise-linear form. Otherwise composite midpoint sums over each
-    slope piece are refined until
-    sum_i |s_i| * len_i * omega_f(subinterval width) <= tol, within the
-    round and evaluation caps; failing that, ToleranceNotReached carries the
-    best achievable value and bound.
+    The cumulative kernel read at y, whose cells are g's slope pieces clipped
+    to [a, y]. Exact (bound 0, certified) when f has an exact
+    piecewise-linear form. Otherwise composite midpoint sums over the cells
+    are refined until sum_i |s_i| * len_i * omega_f(midpoint spacing) <= tol,
+    within the round and evaluation caps; failing that, ToleranceNotReached
+    carries the best achievable value and bound.
     """
     _require_upper_limit(g.interval, y)
     if not tol > 0.0:
@@ -224,8 +212,10 @@ def rs_pl_integrator_exact(values_of, f: PiecewiseLinear, y: float) -> IntegralR
     _require_upper_limit(f.interval, y)
     if values_of.interval != f.interval:
         raise DomainError("integrand and integrator must share one interval")
-    pieces = _clipped_pieces(f, f.interval.a, y)
-    value = math.fsum(s * values_of.integral(lo, hi) for lo, hi, s in pieces)
+    cuts, slopes = _cells(f, np.array([y]))
+    value = math.fsum(s * values_of.integral(lo, hi)
+                      for lo, hi, s in zip(cuts.tolist(), cuts[1:].tolist(), slopes.tolist())
+                      if s != 0.0)
     return IntegralResult(value, 0.0, True)
 
 
@@ -283,39 +273,43 @@ def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[n
     """Integral of f against the continuous part lin up to each y, its
     bound, and whether the bound is certified.
 
-    The one place that picks the exact path. When f has an exact
-    piecewise-linear form (f.pl_form()), the cuts merge a, the ys and the
-    knots of that form and of lin, so both are affine on every cut interval
-    and each increment is exactly (lin(x1) - lin(x0)) * (f(x0) + f(x1)) / 2,
-    with no modulus consulted. Other integrands get one certified quadrature
-    per stretch between consecutive ys.
+    One grid of cells (_cells) cut at a, the ys, lin's knots and, when f has
+    an exact piecewise-linear form (f.pl_form()), its knots; one running sum
+    of the cell increments, read at each y. With an exact form each increment
+    is exactly (lin(x1) - lin(x0)) * (f(x0) + f(x1)) / 2; otherwise
+    _quadrature refines all sloped cells at once until the bound at ys[-1],
+    and so at every y, meets tol, or ToleranceNotReached carries the value
+    and bound there.
     """
     exact = f.pl_form()
-    if exact is None:
-        segs = [
-            _integrate_over_pieces(f, _clipped_pieces(lin, lo, hi), tol)
-            for lo, hi in zip([lin.interval.a, *ys.tolist()], ys.tolist())
-        ]
-        return (np.cumsum([seg.value for seg in segs]),
-                np.cumsum([seg.error_bound for seg in segs]),
-                all(seg.certified for seg in segs))
-    cuts = np.concatenate([[lin.interval.a], ys, lin.xs, exact.xs])
-    cuts = np.unique(cuts[cuts <= ys[-1]])
-    fv = exact.evaluate_array(cuts)
-    steps = np.diff(lin.evaluate_array(cuts)) * (0.5 * (fv[:-1] + fv[1:]))
-    values = np.concatenate([[0.0], np.cumsum(steps)])[np.searchsorted(cuts, ys)]
-    return values, np.zeros(len(ys)), True
+    cuts, slopes = _cells(lin, ys, *([] if exact is None else [exact.xs]))
+    at = np.searchsorted(cuts, ys)
+    if exact is not None:
+        fv = exact.evaluate_array(cuts)
+        steps = np.diff(lin.evaluate_array(cuts)) * (0.5 * (fv[:-1] + fv[1:]))
+        return _running_sum(steps)[at], np.zeros(len(ys)), True
+    sloped = slopes != 0.0
+    if not sloped.any():
+        return np.zeros(len(ys)), np.zeros(len(ys)), True
+    steps, terms = np.zeros(len(slopes)), np.zeros(len(slopes))
+    steps[sloped], terms[sloped] = _quadrature(f, cuts[:-1][sloped], np.diff(cuts)[sloped],
+                                               slopes[sloped], tol)
+    values, bounds = _running_sum(steps)[at], _running_sum(terms)[at]
+    if bounds[-1] > tol:
+        raise ToleranceNotReached(f"tolerance {tol} unreachable within the refinement cap; best "
+                                  f"bound {bounds[-1].item()}", values[-1].item(), bounds[-1].item())
+    return values, bounds, not f.heuristic
 
 
 def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
     """J(y) = integral of f dg up to y, at every jump point of g and grid point.
 
-    The jump contributions accumulate in one cumulative sum. For a
-    piecewise-linear f the linear part is one exact cumulative sum over the
-    merged jumps, grid points and knots of f and g, so the cost is linear in
-    the number of jumps, grid points and knots (up to one sort). Other
-    integrands add one certified quadrature, with its bound, per stretch
-    between consecutive output points, and each stretch scans g's knots.
+    The jump contributions accumulate in one cumulative sum, and the linear
+    part is read from one grid of cells cut at the output points and the
+    knots (_linear_part): exact for a piecewise-linear f, otherwise a
+    certified quadrature whose bound, non-decreasing in y, meets tol at every
+    output point. The cost is linear in the number of jumps, output points
+    and knots (up to one sort), times the midpoints per cell.
     """
     g = as_bv_function(g)
     a, b = g.interval.a, g.interval.b

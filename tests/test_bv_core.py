@@ -26,6 +26,17 @@ def brick(lo, hi, height=1.0, interval=UNIT):
     return StepFunction.brick(interval, lo, hi, height)
 
 
+def step_integral_reference(g, c, d):
+    """StepFunction.integral by the cut loop it replaced: right limits at
+    the cuts, added in order (it raised for c == d == b)."""
+    g.interval.require_subinterval(c, d)
+    cuts = [c] + [p for p in g.breakpoints.tolist() if c < p < d] + [d]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += g.right_limit(lo) * (hi - lo)
+    return total
+
+
 class TestInterval:
     def test_rejects_empty_and_reversed(self):
         with pytest.raises(ConstructionError):
@@ -164,6 +175,24 @@ class TestStepFunction:
         assert g.integral(0.0, 1.0) == pytest.approx(2.0 * 0.5 + 4.0 * 0.5)
         assert g.integral(0.25, 0.75) == pytest.approx(2.0 * 0.25 + 4.0 * 0.25)
 
+    def test_integral_over_a_point_is_zero(self):
+        g = brick(0.3, 0.6)
+        for x in (0.0, 0.3, 0.45, 0.6, 1.0):
+            assert g.integral(x, x) == 0.0
+        assert BVFunction.from_step(g).integral(1.0, 1.0) == 0.0
+
+    def test_integral_matches_cut_loop_bit_for_bit(self):
+        rng = sampling.make_rng(2718)
+        for _ in range(300):
+            interval = sampling.random_interval(rng)
+            g = sampling.random_step(rng, interval, max_jumps=12)
+            ends = [interval.a, interval.b, *g.breakpoints.tolist(),
+                    *rng.uniform(interval.a, interval.b, size=4).tolist()]
+            for _ in range(6):
+                c, d = sorted(rng.choice(ends, size=2).tolist())
+                if c < d or c < interval.b:
+                    assert g.integral(c, d).hex() == step_integral_reference(g, c, d).hex()
+
     def test_addition_merges_breakpoints(self):
         g = brick(0.2, 0.6) + brick(0.4, 0.8, 2.0)
         assert g.evaluate(0.5) == 3.0
@@ -252,7 +281,7 @@ KNOTS = ((0.0, 1.0), (0.3, -0.5), (1.0, 2.0))
 
 class TestStoredColumns:
     """Both parts of a BVFunction are stored once, as read-only float64
-    arrays the function owns."""
+    views of an array the function owns."""
 
     @staticmethod
     def parts():
@@ -266,6 +295,12 @@ class TestStoredColumns:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0] = 9.0
+
+    def test_parts_refuse_to_become_writeable(self):
+        empty = StepFunction.constant(UNIT, 2.0)
+        for part in (*self.parts()[2], empty.breakpoints, empty.piece_values):
+            with pytest.raises(ValueError):
+                part.flags.writeable = True
 
     def test_tuples_lists_and_arrays_build_equal_functions(self):
         bp, pv, end = STEP_PARTS

@@ -442,6 +442,23 @@ class TestBuildCounterexample:
             tail_lower_bound(fam.alpha, beta, gamma, n) for n in range(1, horizon + 1)
         ]
 
+    def test_partials_are_computed_from_the_integrator_heights(self):
+        # the certificate's partial integrals, recomputed by suffix sums from
+        # the brick heights the built integrator holds, bit for bit; at
+        # beta = 1.8 numpy's vector ** misses Python's pow in the last bit
+        gamma, beta, horizon = 0.4, 1.8, 4000
+        f, fam = power_sine_family(gamma)
+        g, params, cert = build_counterexample(f, fam, beta, horizon, f_sup=POWER_SINE_UPPER_BOUND)
+        ns = np.arange(1, horizon + 1)
+        kept = ns >= params.threshold
+        troughs = f.evaluate_array(fam.trough(ns))[kept]
+        crests = f.evaluate_array(fam.crest(ns))[kept]
+        heights = g.piece_values[1::2][::-1]  # n0 .. horizon
+        assert len(heights) == kept.sum()
+        suffix = np.append(np.cumsum((heights * (crests - troughs))[::-1])[::-1][1:], 0.0)
+        partials = cert.records.partial_integral[kept]
+        assert partials.tolist() == (heights * troughs - suffix).tolist()
+
     @pytest.mark.parametrize("negative, threshold", [
         ([True, True, True], 1),
         ([False, True, True], 2),

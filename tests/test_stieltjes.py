@@ -15,8 +15,18 @@ from rscert.bv_core import (
     jordan_decompose,
     slack,
 )
-from rscert.funcspec import Hoelder, IntegrandSpec, Lipschitz, Sampled, parse
+from rscert.funcspec import (
+    Hoelder,
+    IntegrandSpec,
+    Lipschitz,
+    Sampled,
+    integrand_modulus,
+    integrand_values,
+    parse,
+)
 from rscert.stieltjes import (
+    EVALUATION_BUDGET,
+    REFINEMENT_ROUNDS,
     ToleranceNotReached,
     curve,
     integration_by_parts_residual,
@@ -35,6 +45,62 @@ IDENTITY = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
 
 def const_pl(value, interval=UNIT):
     return PiecewiseLinear.constant(interval, value)
+
+
+def clipped_pieces_reference(g, lo_limit, hi_limit):
+    """(lo, hi, slope) for each sloped piece of g clipped to [lo_limit, hi_limit]."""
+    out = []
+    xs, ys = g.xs.tolist(), g.ys.tolist()
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        lo, hi = max(x0, lo_limit), min(x1, hi_limit)
+        if hi <= lo:
+            continue
+        slope = (y1 - y0) / (x1 - x0)
+        if slope != 0.0:
+            out.append((lo, hi, slope))
+    return out
+
+
+def quadrature_reference(f, g, y, tol):
+    """rs_pl_certified(f, g, y, tol) for an f with no exact form, by the
+    per-piece loop it replaced: (value, bound, certified, message), with
+    the message of ToleranceNotReached, or None when the bound meets tol."""
+    pieces = clipped_pieces_reference(g, g.interval.a, y)
+    if not pieces:
+        return 0.0, 0.0, True, None
+    domain_len = f.interval.length
+
+    def bound_at(width):
+        total = 0.0
+        for lo, hi, s in pieces:
+            length = hi - lo
+            n = max(1, math.ceil(length / width))
+            total += abs(s) * length * integrand_modulus(f, min(length / n, domain_len))
+        return total
+
+    width = max(hi - lo for lo, hi, _ in pieces)
+    best_width, best_bound = width, bound_at(width)
+    for _ in range(REFINEMENT_ROUNDS):
+        if best_bound <= tol:
+            break
+        width /= 2.0
+        points_needed = sum(max(1, math.ceil((hi - lo) / width)) for lo, hi, _ in pieces)
+        if points_needed > EVALUATION_BUDGET:
+            break
+        candidate = bound_at(width)
+        if candidate < best_bound:
+            best_width, best_bound = width, candidate
+
+    total = 0.0
+    for lo, hi, s in pieces:
+        length = hi - lo
+        n = max(1, math.ceil(length / best_width))
+        mids = lo + (np.arange(n) + 0.5) * (length / n)
+        total += s * (length / n) * float(integrand_values(f, mids).sum())
+    message = None
+    if best_bound > tol:
+        message = f"tolerance {tol} unreachable within the refinement cap; best bound {best_bound}"
+    return total, best_bound, not f.heuristic, message
 
 
 class TestJumpExact:
@@ -133,6 +199,66 @@ class TestPlCertified:
         r = rs_pl_certified(f, IDENTITY, 1.0, tol=1e-3)
         assert abs(r.value - 2.0 / 3.0) <= r.error_bound
         assert r.error_bound <= 1e-3
+
+
+class TestQuadratureKernel:
+    def test_single_limit_matches_per_piece_reference_bit_for_bit(self):
+        rng = sampling.make_rng(1717)
+        moduli = (Lipschitz(9.0), Hoelder(13.0, 0.5), Sampled(512, 1.5))
+        seen = set()
+        for i in range(45):
+            interval = sampling.random_interval(rng)
+            lin = sampling.random_piecewise_linear(rng, interval)
+            g = BVFunction(sampling.random_step(rng, interval), lin)
+            modulus = moduli[i % 3]
+            f = IntegrandSpec(parse("sin(3*x) + x^2"), interval, modulus)
+            on_knot = i % 2 == 0 and len(lin.xs) > 2
+            y = float(rng.choice(lin.xs[1:])) if on_knot else sampling.random_upper_limit(rng, interval)
+            tol = float(rng.choice([1e-2, 1e-4, 1e-7]))
+            value, bound, certified, message = quadrature_reference(f, lin, y, tol)
+            jump = rs_jump_exact(f, g.step, y).value
+            if message is None:
+                r, rb = rs_pl_certified(f, lin, y, tol), rs_bv(f, g, y, tol)
+                assert (r.value.hex(), r.error_bound.hex(), r.certified) == (
+                    value.hex(), bound.hex(), certified)
+                assert (rb.value.hex(), rb.error_bound.hex()) == ((jump + value).hex(), bound.hex())
+            else:
+                for call in (lambda: rs_pl_certified(f, lin, y, tol), lambda: rs_bv(f, g, y, tol)):
+                    with pytest.raises(ToleranceNotReached) as err:
+                        call()
+                    assert str(err.value) == message
+                    assert (err.value.value.hex(), err.value.error_bound.hex()) == (
+                        value.hex(), bound.hex())
+            seen.add((type(modulus).__name__, on_knot, message is None))
+        assert {(m, k) for m, k, _ in seen} == {
+            (m, k) for m in ("Lipschitz", "Hoelder", "Sampled") for k in (True, False)}
+        assert {met for _, _, met in seen} == {True, False}
+
+    def test_curve_bound_meets_tol_at_every_point(self):
+        rng = sampling.make_rng(50)
+        interval = Interval(0.0, 2.0)
+        xs = np.linspace(0.0, 2.0, 41)
+        lin = PiecewiseLinear(np.column_stack((xs, np.append(0.0, np.cumsum(rng.uniform(-1, 1, 40))))))
+        f = IntegrandSpec(parse("sin(x)+2"), interval, Lipschitz(1.0))
+        grid = np.sort(rng.uniform(0.0, 2.0, 50))
+        tol = 1e-4
+        c = curve(f, lin, grid, tol)
+        assert c.ys.tolist() == grid.tolist()
+        for y, value, bound in zip(c.ys, c.values, c.error_bounds):
+            exact = math.fsum(s * (math.cos(lo) - math.cos(hi) + 2.0 * (hi - lo))
+                              for lo, hi, s in clipped_pieces_reference(lin, 0.0, y))
+            assert abs(value - exact) <= bound + slack(exact)
+        assert (np.diff(c.error_bounds) >= 0.0).all()
+        assert c.error_bounds[-1] <= tol
+
+    def test_curve_raises_with_the_last_value_and_bound(self):
+        f = IntegrandSpec(parse("sin(x)"), UNIT, Lipschitz(1.0))
+        with pytest.raises(ToleranceNotReached) as err:
+            curve(f, IDENTITY, [0.25, 0.5, 1.0], tol=1e-13)
+        value, bound, _, message = quadrature_reference(f, IDENTITY, 1.0, 1e-13)
+        assert str(err.value) == message
+        assert abs(err.value.value - value) <= 1e-15
+        assert err.value.error_bound > 1e-13
 
 
 class TestRsBv:
