@@ -59,7 +59,6 @@ from .positivity import (
     InternalInconsistencyError,
     PositivityWitness,
     PreconditionError,
-    VariationMeasure,
     WeightedMeasure,
     detect_case1,
     detect_case2,
@@ -67,8 +66,6 @@ from .positivity import (
     gdf_bound_check,
     gronwall_verify,
     positive_interval,
-    variation_measure,
-    weighted_variation_measure,
 )
 
 __version__ = "0.1.0"

@@ -53,6 +53,15 @@ def _running_sum(values) -> np.ndarray:
     return np.cumsum(np.append(0.0, values))
 
 
+def _sorted_union(*arrays) -> np.ndarray:
+    """The sorted distinct values of the arrays, as np.union1d gives them
+    (np.union1d and plain np.unique import numpy.ma on their first call)."""
+    values = np.sort(np.concatenate(arrays))
+    distinct = np.ones(len(values), dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    return values[distinct]
+
+
 def _check_finite_array(name: str, values: np.ndarray) -> None:
     """_check_finite over a float array, naming the first non-finite entry."""
     bad = np.flatnonzero(~np.isfinite(values))
@@ -256,7 +265,7 @@ class StepFunction:
     def __add__(self, other: "StepFunction") -> "StepFunction":
         if self.interval != other.interval:
             raise ConstructionError("cannot add step functions on different intervals")
-        bp = np.union1d(self.breakpoints, other.breakpoints)
+        bp = _sorted_union(self.breakpoints, other.breakpoints)
         values = [g.piece_values[np.searchsorted(g.breakpoints, bp, side="right")]
                   for g in (self, other)]
         pv = np.append(self.piece_values[0] + other.piece_values[0], values[0] + values[1])
@@ -382,7 +391,7 @@ class PiecewiseLinear:
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         if self.interval != other.interval:
             raise ConstructionError("cannot add functions on different intervals")
-        xs = np.union1d(self.xs, other.xs)
+        xs = _sorted_union(self.xs, other.xs)
         return PiecewiseLinear(
             np.column_stack((xs, self.evaluate_array(xs) + other.evaluate_array(xs)))
         )
@@ -473,29 +482,25 @@ class BVFunction:
         pts.update(self.linear.xs.tolist())
         return tuple(sorted(pts))
 
+    def one_sided(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g(x-) and g(x+) at every point of an array, equal bit for bit
+        to left_limit and right_limit; g(a) stands in for the left limit at a
+        and g(b) for the right limit at b, so the right column is
+        evaluate_array (the function is right-continuous)."""
+        xs = np.asarray(xs, dtype=float)
+        lin = self.linear.evaluate_array(xs)
+        left = self.step.piece_values[np.searchsorted(self.step.breakpoints, xs, side="left")]
+        return left + lin, self.step.evaluate_array(xs) + lin
+
     @cached_property
     def profile(self) -> "StructuralProfile":
-        """g, g(x-) and g(x+) at every structural point, read in one pass.
-
-        The step part is looked up with searchsorted over its breakpoints and
-        the linear part with one evaluate_array call, so each entry equals
-        evaluate, left_limit and right_limit at that point bit for bit. At a
-        the left limit, and at b the right limit, is the value itself. The
-        function is immutable, so the read is made once and kept.
-        """
-        step = self.step
+        """g, g(x-) and g(x+) at every structural point (one_sided), read
+        once and kept, since the function is immutable."""
         pts = np.asarray(self.structural_points())
-        bp, pv = step.breakpoints, step.piece_values
-        values = pv[np.searchsorted(bp, pts, side="right")]
-        values[-1] = step.end_value  # the last structural point is b
-        left = pv[np.searchsorted(bp, pts, side="left")]
-        left[0] = values[0]
-        lin = self.linear.evaluate_array(pts)
-        values, left = values + lin, left + lin
-        columns = (pts, values, left, values)  # right-continuous: g(x+) = g(x)
-        for col in columns:
+        left, right = self.one_sided(pts)
+        for col in (pts, left, right):
             col.flags.writeable = False
-        return StructuralProfile(*columns)
+        return StructuralProfile(pts, right, left, right)
 
     def __add__(self, other: "BVFunction") -> "BVFunction":
         return BVFunction(self.step + other.step, self.linear + other.linear)

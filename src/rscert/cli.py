@@ -58,12 +58,12 @@ from .counterexample import (
 from .positivity import (
     InternalInconsistencyError,
     PreconditionError,
+    WeightedMeasure,
     find_positive_y,
     gdf_bound_check,
     gronwall_verify,
     pl_times_step,
     support_edge,
-    weighted_variation_measure,
 )
 from . import sampling
 
@@ -548,7 +548,7 @@ def _selftest_gdf(rng) -> tuple[int, int]:
     for _ in range(100):
         total += 1
         interval = sampling.random_interval(rng)
-        f = sampling.random_positive_pl(rng, interval)
+        f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
         g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
         y = sampling.random_upper_limit(rng, interval)
         lhs, rhs = gdf_bound_check(f, g, y)
@@ -561,8 +561,8 @@ def _selftest_gronwall(rng) -> tuple[int, int]:
     for i in range(50):
         total += 1
         interval = sampling.random_interval(rng)
-        f = sampling.random_positive_pl(rng, interval)
-        mu = weighted_variation_measure(f)
+        f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
+        mu = WeightedMeasure(f)
         if i % 5 == 0:
             u = BVFunction.zero(interval)
             verdict = gronwall_verify(u, mu, strictness=slack(1.0))
@@ -581,7 +581,7 @@ def _selftest_positive(rng) -> tuple[int, int]:
     for _ in range(100):
         total += 1
         interval = sampling.random_interval(rng)
-        f = sampling.random_positive_pl(rng, interval)
+        f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
         g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
         witness = find_positive_y(f, g)
         check = rs_bv(f, g, witness.y)

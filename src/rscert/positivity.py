@@ -6,10 +6,14 @@ one exact curve from the support edge on and takes its witness in the piece
 that holds the edge, where g first jumps up or rises against a positive
 integrand. Two public detectors (g jumps off zero; g has only moved
 upward so far) state the named cases on their own.
-The measure-theoretic side is a per-instance verifier: the variation measure
-of a piecewise-linear integrand, its reweighting by 1/f, the |integral of
-g df| bound against it, and a discrete Groenwall checker that exhibits, on
+The measure-theoretic side is a per-instance verifier: the |integral of
+g df| bound, the variation measure of a piecewise-linear f reweighted by
+1/f (WeightedMeasure), and a discrete Groenwall checker that exhibits, on
 concrete data, why "never positive" would force the integrator to vanish.
+All three integrate over one cell grid (stieltjes._cell_read), cut at a,
+the structural points of the integrated function, the knots of f and the
+upper limit, on whose cells both functions are affine: each cell gets a
+closed-form term, and one sum of those terms is read at every upper limit.
 """
 
 from __future__ import annotations
@@ -26,21 +30,19 @@ from .bv_core import (
     PiecewiseLinear,
     StepFunction,
     _running_sum,
+    _sorted_union,
     as_bv_function,
     jordan_decompose,
     slack,
 )
-from .stieltjes import IntegralCurve, _cells, curve, rs_pl_integrator_exact
+from .stieltjes import IntegralCurve, _cell_read, _pl_integrator_terms, curve
 
 __all__ = [
     "PreconditionError",
     "InternalInconsistencyError",
-    "VariationMeasure",
     "WeightedMeasure",
     "PositivityWitness",
     "GronwallVerdict",
-    "variation_measure",
-    "weighted_variation_measure",
     "pl_times_step",
     "detect_case1",
     "detect_case2",
@@ -66,118 +68,66 @@ class InternalInconsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Variation measures
+# The weighted variation measure
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class VariationMeasure:
-    """Borel measure with mass([c, d)) equal to the total variation on [c, d].
-
-    For a piecewise-linear function the measure has density |slope| on each
-    piece and no atoms; atoms are kept in the representation so weighted
-    integrals stay general.
-    """
-
-    interval: Interval
-    atoms: tuple[tuple[float, float], ...]
-    density_pieces: tuple[tuple[float, float, float], ...]  # (lo, hi, density >= 0)
-
-    def mass(self, c: float, d: float) -> float:
-        """Measure of the half-open interval [c, d)."""
-        self.interval.require_subinterval(c, d)
-        total = sum(m for p, m in self.atoms if c <= p < d)
-        for lo, hi, dens in self.density_pieces:
-            overlap = min(hi, d) - max(lo, c)
-            if overlap > 0.0:
-                total += dens * overlap
-        return float(total)
-
-
-def variation_measure(f: PiecewiseLinear) -> VariationMeasure:
-    """The variation measure of a continuous piecewise-linear function:
-    density |slope| on each knot interval, no atoms."""
-    xs = f.xs.tolist()
-    pieces = tuple(zip(xs, xs[1:], np.abs(f.slopes()).tolist()))
-    return VariationMeasure(f.interval, (), pieces)
-
-
-@dataclass(frozen=True)
 class WeightedMeasure:
-    """A variation measure reweighted by 1/f for a certified-positive PL f."""
+    """The variation measure of a certified-positive PL f reweighted by 1/f:
+    density |slope of f| / f (the Groenwall driver)."""
 
-    base: VariationMeasure
     weight_denominator: PiecewiseLinear
 
     def __post_init__(self):
-        f = self.weight_denominator
-        if f.interval != self.base.interval:
-            raise PreconditionError("weight and measure must share one interval")
-        if not f.min_value() > 0.0:
+        if not self.weight_denominator.min_value() > 0.0:
             raise PreconditionError(
                 "the weight denominator must be certifiably positive", reason="positivity"
             )
 
     def mass(self, c: float, d: float) -> float:
         """Measure of [c, d) under the 1/f weight (closed form)."""
-        one = PiecewiseLinear.constant(self.base.interval, 1.0)
+        one = PiecewiseLinear.constant(self.weight_denominator.interval, 1.0)
         return self.integrate(BVFunction.from_linear(one), c, d)
 
     def integrate(self, u: BVFunction, c: float, d: float) -> float:
         """integral of u over [c, d) against the weighted measure, exactly.
 
-        On every piece where u is linear and the weight denominator is
-        linear, the integrand is (affine)/(affine) times a constant density,
-        which integrates in closed form (rational part plus a logarithm).
+        On every cell of _cell_read u and f are both affine, so the integrand
+        is (affine)/(affine) times a constant density, which integrates in
+        closed form (_measure_steps); the cell terms from c on are summed in
+        order.
         """
-        self.base.interval.require_subinterval(c, d)
+        f = self.weight_denominator
+        f.interval.require_subinterval(c, d)
         if c == d:
             return 0.0
-        u = as_bv_function(u)
-        f = self.weight_denominator
-        total = 0.0
-        for p, m in self.base.atoms:
-            if c <= p < d:
-                total += m * u.evaluate(p) / f.evaluate(p)
-        for lo, hi, dens in self.base.density_pieces:
-            if dens == 0.0:
-                continue
-            seg_lo, seg_hi = max(lo, c), min(hi, d)
-            if seg_hi <= seg_lo:
-                continue
-            cuts = sorted(
-                {seg_lo, seg_hi}
-                | {x for x in u.structural_points() if seg_lo < x < seg_hi}
-                | {x for x in f.xs.tolist() if seg_lo < x < seg_hi}
-            )
-            for x0, x1 in zip(cuts, cuts[1:]):
-                total += dens * _affine_ratio_integral(u, f, x0, x1)
-        return float(total)
+        cuts, slopes, u0, u1 = _cell_read(as_bv_function(u), f, np.array([c, d]))
+        steps = _measure_steps(f, slopes, cuts[:-1], cuts[1:], u0, u1)
+        return _running_sum(steps[cuts[:-1] >= c])[-1].item()
 
 
-def _affine_ratio_integral(u: BVFunction, f: PiecewiseLinear, x0: float, x1: float) -> float:
-    """integral over [x0, x1] of u(x)/f(x) dx, both affine on the piece."""
+def _measure_steps(f: PiecewiseLinear, slopes: np.ndarray, x0: np.ndarray, x1: np.ndarray,
+                   u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """|slope| * integral over [x0, x1] of u(x)/f(x) dx on each cell, where
+    f has that slope and u runs affinely from u0 to u1."""
     span = x1 - x0
-    u0 = u.right_limit(x0)
-    u1 = u.left_limit(x1)
-    m = (u1 - u0) / span
-    f0 = f.evaluate(x0)
-    f1 = f.evaluate(x1)
-    s = (f1 - f0) / span
-    if abs(s) * span < 1e-6 * f0:
-        # nearly flat denominator: the closed form below cancels
-        # catastrophically, and Simpson is accurate to O((s*span/f0)^3) here
+    f0, f1 = f.evaluate_array(x0), f.evaluate_array(x1)
+    # math.log1p: np.log1p differs from it in the last bit for some inputs
+    log_term = np.fromiter(map(math.log1p, ((f1 - f0) / f0).tolist()), float, len(f0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = (u1 - u0) / span
+        s = (f1 - f0) / span
         u_mid = 0.5 * (u0 + u1)
         f_mid = 0.5 * (f0 + f1)
-        return span / 6.0 * (u0 / f0 + 4.0 * u_mid / f_mid + u1 / f1)
-    # int (u0 + m t)/(f0 + s t) dt over [0, span]
-    log_term = math.log1p((f1 - f0) / f0)
-    return (m / s) * span + (u0 - m * f0 / s) * log_term / s
-
-
-def weighted_variation_measure(f: PiecewiseLinear) -> WeightedMeasure:
-    """The Groenwall driver: the variation measure of f divided by f itself."""
-    return WeightedMeasure(variation_measure(f), f)
+        simpson = span / 6.0 * (u0 / f0 + 4.0 * u_mid / f_mid + u1 / f1)
+        # int (u0 + m t)/(f0 + s t) dt over [0, span]
+        closed = (m / s) * span + (u0 - m * f0 / s) * log_term / s
+    # nearly flat denominator: the closed form cancels catastrophically, and
+    # Simpson is accurate to O((s*span/f0)^3) there; an empty cell (a
+    # midpoint that rounds onto x0) is flat too, and its Simpson term is 0
+    flat = ~(np.abs(s) * span >= 1e-6 * f0)
+    return np.abs(slopes) * np.where(flat, simpson, closed)
 
 
 def pl_times_step(f: PiecewiseLinear, g: StepFunction) -> BVFunction:
@@ -196,7 +146,7 @@ def pl_times_step(f: PiecewiseLinear, g: StepFunction) -> BVFunction:
 
     # the linear part: f * g minus the jumps taken through x, at every knot
     # of f and breakpoint of g; at b the left limit of g counts
-    xs = np.union1d(f.xs, g.breakpoints)
+    xs = _sorted_union(f.xs, g.breakpoints)
     gx = g.evaluate_array(xs)
     gx[-1] = g.piece_values[-1]
     through = jumped[np.searchsorted(points, xs, side="right")]
@@ -308,9 +258,10 @@ def gdf_bound_check(f: PiecewiseLinear, g, y: float) -> tuple[float, float]:
     """Both sides of |int_a^y g df| <= int_[a,y) f*g dmu, computed exactly.
 
     With mu the variation measure of f weighted by 1/f, the right side
-    collapses to the integral of g against |slope of f| dx; the left side is
-    the exact piecewise integral of g against f. Requires f certifiably
-    positive and g non-negative.
+    collapses to the integral of g against |slope of f| dx. Both sides are
+    read off the same cell terms of int g df (rs_pl_integrator_exact): the
+    left side sums them, the right side sums their absolute values. Requires
+    f certifiably positive and g non-negative.
     """
     g = as_bv_function(g)
     if not isinstance(f, PiecewiseLinear):
@@ -319,13 +270,8 @@ def gdf_bound_check(f: PiecewiseLinear, g, y: float) -> tuple[float, float]:
         raise PreconditionError("f must be certifiably positive", reason="positivity")
     if not _structurally_nonnegative(g):
         raise PreconditionError("g must be non-negative", reason="sign")
-    lhs = abs(rs_pl_integrator_exact(g, f, y).value)
-    cuts, slopes = _cells(f, np.array([y]))
-    rhs = 0.0
-    for lo, hi, s in zip(cuts.tolist(), cuts[1:].tolist(), slopes.tolist()):
-        if s != 0.0:
-            rhs += abs(s) * g.integral(lo, hi)
-    return lhs, float(rhs)
+    terms = _pl_integrator_terms(g, f, y)
+    return abs(math.fsum(terms.tolist())), math.fsum(np.abs(terms).tolist())
 
 
 @dataclass(frozen=True)
@@ -342,32 +288,40 @@ def gronwall_verify(u, mu: WeightedMeasure, strictness: float) -> GronwallVerdic
     """Check u(y) <= integral of u over [a, y) dmu at every structural point,
     and, when that hypothesis holds, that u <= strictness everywhere there.
 
-    This validates the implication's conclusion on concrete data (including
-    one-sided values at jumps and piece midpoints); it does not prove the
-    general inequality.
+    The probes are, for each cell of _cell_read (cut at the structural
+    points of u and the knots of the weight), its start, its midpoint and
+    the left limit at its end, then b. The integral at the cuts is one
+    running sum of the cell terms, and at a midpoint the value at the cell's
+    start plus the term of its first half. This validates the implication's
+    conclusion on concrete data (including one-sided values at jumps and
+    piece midpoints); it does not prove the general inequality.
     """
     u = as_bv_function(u)
-    a, b = u.interval.a, u.interval.b
-    pts = set(u.structural_points()) | {b}
-    pts.update(p for p, _ in mu.base.atoms)
-    pts.update(x for piece in mu.base.density_pieces for x in piece[:2])
-    pts.update(mu.weight_denominator.xs.tolist())
-    pts = sorted(p for p in pts if a <= p <= b)
-    probes: list[tuple[float, float]] = []  # (y, u-value approached at y)
-    for x0, x1 in zip(pts, pts[1:]):
-        mid = 0.5 * (x0 + x1)
-        probes.append((x0, u.evaluate(x0)))
-        probes.append((mid, u.evaluate(mid)))
-        probes.append((x1, u.left_limit(x1)))
-    probes.append((b, u.evaluate(b)))
+    f = mu.weight_denominator
+    if u.interval != f.interval:
+        raise PreconditionError("the function and the measure must share one interval")
+    b = u.interval.b
+    cuts, slopes, u0, u1 = _cell_read(u, f, np.array([b]))
+    x0, x1 = cuts[:-1], cuts[1:]
+    mid = 0.5 * (x0 + x1)
+    mid_left, mid_value = u.one_sided(mid)
+    at_cuts = _running_sum(_measure_steps(f, slopes, x0, x1, u0, u1))
+    at_mid = at_cuts[:-1] + _measure_steps(f, slopes, x0, mid, u0, mid_left)
 
-    for y, u_val in probes:
-        integral = mu.integrate(u, a, y)
-        if u_val > integral + slack(u_val, integral):
-            return GronwallVerdict(False, (y, u_val, integral), None, None)
-    for y, u_val in probes:
-        if u_val > strictness + slack(u_val):
-            return GronwallVerdict(True, None, False, (y, u_val))
+    ys = np.append(np.column_stack((x0, mid, x1)).ravel(), b)
+    u_vals = np.append(np.column_stack((u0, mid_value, u1)).ravel(), u.evaluate(b))
+    integrals = np.append(np.column_stack((at_cuts[:-1], at_mid, at_cuts[1:])).ravel(),
+                          at_cuts[-1])
+    margin = slack(np.maximum(np.abs(u_vals), np.abs(integrals)))
+    over = np.flatnonzero(u_vals > integrals + margin)
+    if over.size:
+        i = over[0]
+        return GronwallVerdict(False, (ys[i].item(), u_vals[i].item(), integrals[i].item()),
+                               None, None)
+    over = np.flatnonzero(u_vals > strictness + slack(u_vals))
+    if over.size:
+        i = over[0]
+        return GronwallVerdict(True, None, False, (ys[i].item(), u_vals[i].item()))
     return GronwallVerdict(True, None, True, None)
 
 
@@ -431,10 +385,10 @@ def find_positive_y(f, g) -> PositivityWitness:
     k = int(np.searchsorted(pts, edge, side="right")) - 1  # the piece holding the edge
     if not g.linear.is_constant() and k + 1 < len(pts):
         inner = np.linspace(pts[k], pts[k + 1], SEGMENT_SAMPLES + 2)[1:-1]
-        ys = np.union1d(ys, inner[inner > edge])
+        ys = _sorted_union(ys, inner[inner > edge])
     j = curve(f_work, g, ys)
     # exact values (the curve's bounds are 0 here); slack is elementwise on one array
-    hits = np.flatnonzero(np.isin(j.ys, ys) & (j.values > slack(j.values)))
+    hits = np.flatnonzero(np.isin(j.ys, ys, assume_unique=True) & (j.values > slack(j.values)))
     if not hits.size:
         raise InternalInconsistencyError(
             "no positive upper limit found from the support edge on, on an "
@@ -523,7 +477,7 @@ def _positive_stretch(g: BVFunction, j: IntegralCurve, witness: PositivityWitnes
     # sloped integrator: between structural points J is monotone (the
     # integrand is positive and each g-piece has one slope sign), so
     # endpoint and left-limit checks certify whole stretches
-    at = later & np.isin(j.ys, g.profile.points)
+    at = later & np.isin(j.ys, g.profile.points, assume_unique=True)
     qs = j.ys[at]
     good = (j.values[at] > threshold) & (j.values[at] - j.jumps[at] > threshold)
     fails = np.flatnonzero(~good)

@@ -47,17 +47,6 @@ def random_piecewise_linear(
     return PiecewiseLinear(tuple(zip(xs, (float(y) for y in ys))))
 
 
-def random_positive_pl(
-    rng: np.random.Generator,
-    interval: Interval,
-    max_knots: int = 6,
-    floor: float = 0.2,
-    ceiling: float = 3.0,
-) -> PiecewiseLinear:
-    """Piecewise-linear integrand with an exact positive minimum."""
-    return random_piecewise_linear(rng, interval, max_knots, floor, ceiling)
-
-
 def random_step(
     rng: np.random.Generator,
     interval: Interval,

@@ -22,6 +22,7 @@ from .bv_core import (
     PiecewiseLinear,
     StepFunction,
     _running_sum,
+    _sorted_union,
     as_bv_function,
 )
 from .funcspec import integrand_modulus, integrand_values
@@ -93,10 +94,19 @@ def rs_jump_exact(f, g: StepFunction | BVFunction, y: float) -> IntegralResult:
 def _cells(lin: PiecewiseLinear, ys: np.ndarray, *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct cuts a, ys, lin's knots and any extra points, up to
     ys[-1], and lin's slope on each cell between consecutive cuts."""
-    # sorted and masked: np.unique would import numpy.ma on its first call
-    cuts = np.sort(np.concatenate([[lin.interval.a], ys, lin.xs, *extra]))
-    cuts = cuts[(cuts <= ys[-1]) & np.append(True, cuts[1:] != cuts[:-1])]
+    cuts = _sorted_union([lin.interval.a], ys, lin.xs, *extra)
+    cuts = cuts[cuts <= ys[-1]]
     return cuts, lin.slopes()[np.searchsorted(lin.xs, cuts[:-1], side="right") - 1]
+
+
+def _cell_read(u: BVFunction, lin: PiecewiseLinear,
+               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of _cells(lin, ys) also cut at u's structural points, so u
+    and lin are both affine on each: the cuts, lin's slope on each cell, and
+    u(x0+) and u(x1-) at its ends."""
+    cuts, slopes = _cells(lin, ys, u.profile.points)
+    left, right = u.one_sided(cuts)
+    return cuts, slopes, right[:-1], left[1:]
 
 
 def _quadrature(f, lo: np.ndarray, length: np.ndarray, slope: np.ndarray,
@@ -186,10 +196,7 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
         raise DomainError("mesh must be positive")
     a = g.interval.a
     n = max(1, math.ceil((y - a) / mesh))
-    cuts = np.linspace(a, y, n + 1)
-    jump_points = g.jumps_in(a, y)[:, 0]
-    if len(jump_points):
-        cuts = np.unique(np.concatenate([cuts, jump_points]))
+    cuts = _sorted_union(np.linspace(a, y, n + 1), g.jumps_in(a, y)[:, 0])
     g_vals = g.evaluate_array(cuts)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     f_vals = integrand_values(f, mids)
@@ -203,20 +210,23 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
 def rs_pl_integrator_exact(values_of, f: PiecewiseLinear, y: float) -> IntegralResult:
     """Exact integral of a BV-representable integrand against a PL integrator.
 
-    For a piecewise-linear integrator the Stieltjes integral collapses to
-    sum_i s_i * (ordinary integral of the integrand over piece i), and our
-    step + piecewise-linear integrands have those ordinary integrals in
-    closed form.
+    Both are affine on every cell of _cell_read, where the integral is
+    s * (x1 - x0) * (u(x0+) + u(x1-)) / 2 with s the integrator's slope
+    (_pl_integrator_terms); the terms are summed with math.fsum.
     """
+    return IntegralResult(math.fsum(_pl_integrator_terms(values_of, f, y).tolist()), 0.0, True)
+
+
+def _pl_integrator_terms(values_of, f: PiecewiseLinear, y: float) -> np.ndarray:
+    """The integral of values_of df over each cell of [a, y] (_cell_read)."""
     values_of = as_bv_function(values_of)
     _require_upper_limit(f.interval, y)
     if values_of.interval != f.interval:
         raise DomainError("integrand and integrator must share one interval")
-    cuts, slopes = _cells(f, np.array([y]))
-    value = math.fsum(s * values_of.integral(lo, hi)
-                      for lo, hi, s in zip(cuts.tolist(), cuts[1:].tolist(), slopes.tolist())
-                      if s != 0.0)
-    return IntegralResult(value, 0.0, True)
+    cuts, slopes, u0, u1 = _cell_read(values_of, f, np.array([y]))
+    # the stored slope times the cell length, not f(x1) - f(x0): the latter
+    # carries a rounding error of f's size, not of the increment's
+    return slopes * np.diff(cuts) * (0.5 * (u0 + u1))
 
 
 def _as_pure_pl(f) -> PiecewiseLinear:
@@ -321,7 +331,7 @@ def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
         _require_upper_limit(g.interval, float(grid[outside][0]))
 
     jump_ys, weights = g.jumps_in(a, b).T
-    ys = np.union1d(grid, jump_ys)
+    ys = _sorted_union(grid, jump_ys)
     at = np.searchsorted(ys, jump_ys)
     at_jump = np.zeros(len(ys), dtype=bool)
     at_jump[at] = True

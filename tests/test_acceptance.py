@@ -30,12 +30,12 @@ from rscert.counterexample import (
     POWER_SINE_UPPER_BOUND,
 )
 from rscert.positivity import (
+    WeightedMeasure,
     find_positive_y,
     gdf_bound_check,
     gronwall_verify,
     pl_times_step,
     positive_interval,
-    weighted_variation_measure,
 )
 from rscert.cli import main as cli_main
 from rscert import sampling
@@ -150,7 +150,7 @@ def test_criterion_6_positivity_witness_suite():
         intervals_checked = 0
         for _ in range(500):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
             witness = find_positive_y(f, g)
             check = rs_bv(f, g, witness.y)
@@ -169,15 +169,15 @@ def test_criterion_7_gdf_and_gronwall():
         rng = sampling.make_rng(707)
         for _ in range(500):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
             y = sampling.random_upper_limit(rng, interval)
             lhs, rhs = gdf_bound_check(f, g, y)
             assert lhs <= rhs + slack(lhs, rhs)
         for i in range(100):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
-            mu = weighted_variation_measure(f)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
+            mu = WeightedMeasure(f)
             if i % 4 == 0:
                 u = BVFunction.zero(interval)
             else:

@@ -12,6 +12,7 @@ from rscert.bv_core import (
     Interval,
     PiecewiseLinear,
     StepFunction,
+    _sorted_union,
     jordan_decompose,
     sampled_total_variation,
     slack,
@@ -391,6 +392,27 @@ class TestStructuralProfile:
             # the missing one-sided value at either end is the value itself
             assert prof.left[0] == prof.values[0]
             assert prof.right[-1] == prof.values[-1]
+
+    def test_one_sided_matches_scalar_limits_anywhere(self):
+        rng = sampling.make_rng(5252)
+        for _ in range(200):
+            interval = sampling.random_interval(rng)
+            g = sampling.random_bv(rng, interval)
+            xs = _sorted_union(g.profile.points,
+                               rng.uniform(interval.a, interval.b, size=20))
+            left, right = g.one_sided(xs)
+            assert left.tolist() == [g.left_limit(x) if x > interval.a else g.evaluate(x)
+                                     for x in xs.tolist()]
+            assert right.tolist() == [g.right_limit(x) if x < interval.b else g.evaluate(x)
+                                      for x in xs.tolist()]
+
+    def test_sorted_union_matches_union1d(self):
+        rng = sampling.make_rng(5353)
+        for _ in range(100):
+            parts = [rng.integers(0, 8, size=rng.integers(0, 6)) / 4.0 for _ in range(3)]
+            assert _sorted_union(*parts).tolist() == np.union1d(
+                np.concatenate(parts), []).tolist()
+        assert _sorted_union(np.array([]), np.array([])).size == 0
 
     def test_read_once_and_read_only(self):
         g = BVFunction.from_step(brick(0.3, 0.6))

@@ -414,6 +414,33 @@ class TestSelftestCommand:
         assert first == second
 
 
+def test_verbs_leave_numpy_ma_unimported(tmp_path):
+    """np.union1d, plain np.unique and np.isin import numpy.ma on their first
+    call in a process, about 14 ms; no verb calls them."""
+    write_doc(tmp_path, dict(BRICK_DOC, piece_values=[0.0, 0.3], end_value=0.3))
+    write_doc(tmp_path, {"type": "piecewise_linear",
+                         "knots": [[0, 0], [0.3, 0.5], [0.6, 0.2], [1, 1]]}, "pl.json")
+    script = """if True:
+        import sys
+        from rscert.cli import main
+        for argv in (
+            ["counterexample", "--gamma", "0.5", "--beta", "1.5", "--N", "1000",
+             "--out-certificate", "cert.json", "--out-g", "out.json"],
+            ["search-positive", "--f", "2", "--g", "g.json"],
+            ["integrate", "--f", "x+2", "--g", "pl.json", "--y", "0.95"],
+            ["integrate", "--f", "sin(x)+2", "--g", "pl.json", "--y", "0.95"],
+            ["selftest", "--seed", "7"],
+        ):
+            assert main(argv) == 0, argv
+        assert "numpy.ma" not in sys.modules
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestRepeatedMain:
     """main builds its argument parser once per process and can be called
     again after any verb or argument error."""

@@ -1,5 +1,8 @@
 """Positivity detectors, the witness search, measures and the Groenwall check."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,10 @@ from rscert.funcspec import IntegrandSpec, Lipschitz, Sampled, parse
 from rscert.stieltjes import rs_bv, rs_jump_exact
 from rscert.counterexample import build_counterexample, power_sine_family, POWER_SINE_UPPER_BOUND
 from rscert.positivity import (
+    GronwallVerdict,
     InternalInconsistencyError,
     PreconditionError,
+    WeightedMeasure,
     detect_case1,
     detect_case2,
     find_positive_y,
@@ -24,8 +29,6 @@ from rscert.positivity import (
     pl_times_step,
     positive_interval,
     support_edge,
-    variation_measure,
-    weighted_variation_measure,
 )
 from rscert import sampling
 
@@ -36,69 +39,77 @@ def const_pl(value, interval=UNIT):
     return PiecewiseLinear.constant(interval, value)
 
 
-class TestVariationMeasure:
-    def test_identity_density(self):
-        nu = variation_measure(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))))
-        assert nu.mass(0.0, 1.0) == pytest.approx(1.0)
-        assert nu.mass(0.2, 0.7) == pytest.approx(0.5)
-
-    def test_vee_density(self):
-        f = PiecewiseLinear(((0.0, 0.5), (0.5, 0.0), (1.0, 0.5)))
-        nu = variation_measure(f)
-        assert nu.mass(0.25, 0.75) == pytest.approx(0.5)
-
-    def test_constant_gives_zero_measure(self):
-        nu = variation_measure(const_pl(7.0))
-        assert nu.mass(0.0, 1.0) == 0.0
-
-    def test_matches_total_variation_on_random_instances(self):
-        rng = sampling.make_rng(31)
-        for _ in range(50):
-            interval = sampling.random_interval(rng)
-            f = sampling.random_piecewise_linear(rng, interval)
-            nu = variation_measure(f)
-            c = sampling.random_upper_limit(rng, interval)
-            d = sampling.random_upper_limit(rng, interval)
-            c, d = min(c, d), max(c, d)
-            # continuous f: variation on [c, d] equals the measure of [c, d)
-            assert nu.mass(c, d) == pytest.approx(
-                f.total_variation(c, d), abs=slack(nu.mass(c, d))
-            )
+def affine_ratio_reference(u, f, x0, x1):
+    """integral over [x0, x1] of u(x)/f(x) dx, both affine on the piece, by
+    the scalar closed form the vectorised cell terms replaced."""
+    span = x1 - x0
+    u0 = u.right_limit(x0)
+    u1 = u.left_limit(x1)
+    m = (u1 - u0) / span
+    f0 = f.evaluate(x0)
+    f1 = f.evaluate(x1)
+    s = (f1 - f0) / span
+    if abs(s) * span < 1e-6 * f0:
+        u_mid = 0.5 * (u0 + u1)
+        f_mid = 0.5 * (f0 + f1)
+        return span / 6.0 * (u0 / f0 + 4.0 * u_mid / f_mid + u1 / f1)
+    log_term = math.log1p((f1 - f0) / f0)
+    return (m / s) * span + (u0 - m * f0 / s) * log_term / s
 
 
-class TestAtomSupport:
-    def test_atoms_counted_half_open(self):
-        from rscert.positivity import VariationMeasure
+def weighted_integrate_reference(f, u, c, d):
+    """WeightedMeasure(f).integrate(u, c, d) by the per-piece loop it
+    replaced: every sloped knot interval of f clipped to [c, d], cut at the
+    structural points of u inside it, summed cell by cell from 0.0."""
+    if c == d:
+        return 0.0
+    total = 0.0
+    xs = f.xs.tolist()
+    for lo, hi, dens in zip(xs, xs[1:], np.abs(f.slopes()).tolist()):
+        if dens == 0.0:
+            continue
+        seg_lo, seg_hi = max(lo, c), min(hi, d)
+        if seg_hi <= seg_lo:
+            continue
+        cuts = sorted({seg_lo, seg_hi}
+                      | {x for x in u.structural_points() if seg_lo < x < seg_hi})
+        for x0, x1 in zip(cuts, cuts[1:]):
+            total += dens * affine_ratio_reference(u, f, x0, x1)
+    return float(total)
 
-        nu = VariationMeasure(UNIT, atoms=((0.25, 2.0), (0.75, 1.0)), density_pieces=())
-        assert nu.mass(0.0, 0.25) == 0.0
-        assert nu.mass(0.25, 0.75) == pytest.approx(2.0)  # left atom in, right out
-        assert nu.mass(0.0, 1.0) == pytest.approx(3.0)
 
-    def test_weighted_integration_over_atoms(self):
-        from rscert.positivity import VariationMeasure, WeightedMeasure
-
-        f = PiecewiseLinear(((0.0, 2.0), (1.0, 4.0)))
-        nu = VariationMeasure(UNIT, atoms=((0.5, 3.0),), density_pieces=())
-        mu = WeightedMeasure(nu, f)
-        u = BVFunction.from_linear(PiecewiseLinear(((0.0, 1.0), (1.0, 1.0))))
-        # single atom: mass * u(p) / f(p) = 3 * 1 / 3
-        assert mu.integrate(u, 0.0, 1.0) == pytest.approx(1.0)
-        assert mu.integrate(u, 0.0, 0.5) == 0.0  # half-open: atom at 0.5 excluded
+def gronwall_reference(u, f, strictness):
+    """gronwall_verify(u, WeightedMeasure(f), strictness) by the per-probe
+    loop it replaced, which integrates again from a at every probe."""
+    a, b = u.interval.a, u.interval.b
+    pts = sorted(set(u.structural_points()) | set(f.xs.tolist()))
+    probes = []
+    for x0, x1 in zip(pts, pts[1:]):
+        mid = 0.5 * (x0 + x1)
+        probes += [(x0, u.evaluate(x0)), (mid, u.evaluate(mid)), (x1, u.left_limit(x1))]
+    probes.append((b, u.evaluate(b)))
+    for y, u_val in probes:
+        integral = weighted_integrate_reference(f, u, a, y)
+        if u_val > integral + slack(u_val, integral):
+            return GronwallVerdict(False, (y, u_val, integral), None, None)
+    for y, u_val in probes:
+        if u_val > strictness + slack(u_val):
+            return GronwallVerdict(True, None, False, (y, u_val))
+    return GronwallVerdict(True, None, True, None)
 
 
 class TestWeightedMeasure:
     def test_requires_positive_denominator(self):
         with pytest.raises(PreconditionError):
-            weighted_variation_measure(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))))
+            WeightedMeasure(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))))
 
     def test_increment_bound_holds_exactly(self):
         # |f(d) - f(c)| <= integral of f over [c, d) against d(var f)/f
         rng = sampling.make_rng(67)
         for _ in range(50):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
-            mu = weighted_variation_measure(f)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
+            mu = WeightedMeasure(f)
             c = sampling.random_upper_limit(rng, interval)
             d = sampling.random_upper_limit(rng, interval)
             c, d = min(c, d), max(c, d)
@@ -109,7 +120,7 @@ class TestWeightedMeasure:
     def test_closed_form_against_quadrature(self):
         f = PiecewiseLinear(((0.0, 1.0), (0.4, 3.0), (1.0, 0.5)))
         u = BVFunction.from_linear(PiecewiseLinear(((0.0, 2.0), (1.0, 4.0))))
-        mu = weighted_variation_measure(f)
+        mu = WeightedMeasure(f)
         got = mu.integrate(u, 0.0, 1.0)
         xs = np.linspace(0.0, 1.0, 2_000_001)
         mids = 0.5 * (xs[:-1] + xs[1:])
@@ -119,12 +130,69 @@ class TestWeightedMeasure:
         assert got == pytest.approx(numeric, rel=1e-6)
 
 
+class TestCellGridAgainstReferences:
+    """The measure integrals read off one cell grid equal the loops they
+    replaced bit for bit: the same cells, terms and additions in order."""
+
+    @staticmethod
+    def instances(seed, count):
+        rng = sampling.make_rng(seed)
+        for k in range(count):
+            interval = sampling.random_interval(rng)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
+            g = sampling.random_nonnegative_step(rng, interval)
+            if k % 5 == 0:
+                u = BVFunction.zero(interval)
+            elif k % 5 == 1:
+                u = pl_times_step(f, g).scaled(1e-13)  # the hypothesis holds
+            elif k % 5 == 2:
+                u = pl_times_step(f, g)
+            elif k % 5 == 3:
+                u = sampling.random_bv(rng, interval)
+            else:
+                u = BVFunction(g, sampling.random_piecewise_linear(rng, interval, low=0.0))
+            c, d = sorted(sampling.random_upper_limit(rng, interval) for _ in range(2))
+            yield interval, f, u, c, d
+
+    def test_gronwall_verdicts_bit_for_bit(self):
+        held = 0
+        for interval, f, u, _, _ in self.instances(2024, 1500):
+            verdict = gronwall_verify(u, WeightedMeasure(f), strictness=slack(1.0))
+            assert verdict == gronwall_reference(u, f, slack(1.0))
+            held += verdict.hypothesis_holds
+        assert held >= 600  # u = 0 and the 1e-13 product visit every probe
+
+    def test_integrate_and_mass_bit_for_bit(self):
+        for interval, f, u, c, d in self.instances(2025, 1500):
+            mu = WeightedMeasure(f)
+            one = BVFunction.from_linear(const_pl(1.0, interval))
+            for lo, hi in ((c, d), (interval.a, interval.b)):
+                assert mu.integrate(u, lo, hi) == weighted_integrate_reference(f, u, lo, hi)
+                assert mu.mass(lo, hi) == weighted_integrate_reference(f, one, lo, hi)
+            assert mu.integrate(u, c, c) == 0.0
+
+    def test_many_knots_and_jumps(self):
+        # f with 200 knots in [1, 2], g >= 0 with 200 jumps and u = 1e-14 f g:
+        # the hypothesis holds, so every probe is read; the per-probe loop
+        # took 17 s here
+        rng = sampling.make_rng(200)
+        f = PiecewiseLinear(np.column_stack((np.linspace(0.0, 1.0, 200),
+                                             rng.uniform(1.0, 2.0, 200))))
+        g = StepFunction(UNIT, np.sort(rng.uniform(0.01, 0.99, 200)),
+                         np.append(0.0, rng.uniform(0.0, 1.0, 200)), 0.5)
+        u = pl_times_step(f, g).scaled(1e-14)
+        start = time.perf_counter()
+        verdict = gronwall_verify(u, WeightedMeasure(f), strictness=slack(1.0))
+        assert time.perf_counter() - start < 1.0
+        assert verdict.hypothesis_holds and verdict.conclusion_holds
+
+
 class TestProductRepresentation:
     def test_product_matches_pointwise(self):
         rng = sampling.make_rng(88)
         for _ in range(50):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = sampling.random_step(rng, interval)
             u = pl_times_step(f, g)
             grid = np.linspace(interval.a, interval.b, 101)
@@ -194,7 +262,7 @@ class TestDetectCase1:
         hits = 0
         for _ in range(100):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
             w = detect_case1(g, f)
             if w is None:
@@ -240,7 +308,7 @@ class TestGdfBound:
 
         for _ in range(30):
             interval = sampling.random_interval(rng)
-            f_raw = sampling.random_positive_pl(rng, interval)
+            f_raw = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             rise = jordan_decompose(f_raw).pos.linear.shifted(0.5)  # increasing, positive
             g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
             y = sampling.random_upper_limit(rng, interval)
@@ -251,7 +319,7 @@ class TestGdfBound:
         rng = sampling.make_rng(626)
         for _ in range(200):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
             y = sampling.random_upper_limit(rng, interval)
             lhs, rhs = gdf_bound_check(f, g, y)
@@ -273,13 +341,13 @@ class TestGdfBound:
 class TestGronwall:
     def test_zero_function_passes(self):
         f = const_pl(1.0)
-        mu = weighted_variation_measure(f)
+        mu = WeightedMeasure(f)
         verdict = gronwall_verify(BVFunction.zero(UNIT), mu, strictness=1e-9)
         assert verdict.hypothesis_holds and verdict.conclusion_holds
 
     def test_positive_bump_violates_hypothesis(self):
         f = const_pl(1.0)  # zero variation: mu == 0
-        mu = weighted_variation_measure(f)
+        mu = WeightedMeasure(f)
         u = BVFunction.from_step(StepFunction(UNIT, (0.9,), (0.0, 1.0), 1.0))
         verdict = gronwall_verify(u, mu, strictness=1e-9)
         assert not verdict.hypothesis_holds
@@ -295,10 +363,10 @@ class TestGronwall:
         rng = sampling.make_rng(737)
         for _ in range(100):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = sampling.random_nonnegative_step(rng, interval)
             u = pl_times_step(f, g)
-            mu = weighted_variation_measure(f)
+            mu = WeightedMeasure(f)
             verdict = gronwall_verify(u, mu, strictness=slack(1.0))
             assert (not verdict.hypothesis_holds) or verdict.conclusion_holds
 
@@ -369,7 +437,7 @@ class TestFindPositiveY:
         rng = sampling.make_rng(848)
         for _ in range(200):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
             w = find_positive_y(f, g)
             # g jumps up off zero at its support edge
@@ -405,7 +473,7 @@ class TestFindPositiveY:
         intervals = 0
         for _ in range(200):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             lin = sampling.random_piecewise_linear(rng, interval, low=0.0, high=1.0)
             rising = PiecewiseLinear(tuple(zip(lin.xs, np.cumsum(np.append(0.0, lin.ys[1:])))))
             g = BVFunction(sampling.random_nonnegative_step(rng, interval), rising)
@@ -474,7 +542,7 @@ class TestPositiveInterval:
         count = 0
         for _ in range(100):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
             w = find_positive_y(f, g)
             if w.y >= interval.b:

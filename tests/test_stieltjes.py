@@ -318,7 +318,7 @@ class TestRsBv:
         decided = 0
         for _ in range(60):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = sampling.random_bv(rng, interval)
             y = sampling.random_upper_limit(rng, interval)
             pair = jordan_decompose(g)
@@ -337,7 +337,7 @@ class TestRsBv:
         rng = sampling.make_rng(246)
         for _ in range(50):
             interval = sampling.random_interval(rng)
-            f = sampling.random_positive_pl(rng, interval)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
             g = jordan_decompose(sampling.random_bv(rng, interval)).pos
             y = sampling.random_upper_limit(rng, interval)
             rise = g.evaluate(y) - g.evaluate(interval.a)
