@@ -477,10 +477,7 @@ class BVFunction:
 
     def structural_points(self) -> tuple[float, ...]:
         """Interval endpoints, step breakpoints and linear knots, sorted."""
-        pts = {self.interval.a, self.interval.b}
-        pts.update(self.step.breakpoints.tolist())
-        pts.update(self.linear.xs.tolist())
-        return tuple(sorted(pts))
+        return tuple(self.profile.points.tolist())
 
     def one_sided(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g(x-) and g(x+) at every point of an array, equal bit for bit
@@ -494,13 +491,14 @@ class BVFunction:
 
     @cached_property
     def profile(self) -> "StructuralProfile":
-        """g, g(x-) and g(x+) at every structural point (one_sided), read
-        once and kept, since the function is immutable."""
-        pts = np.asarray(self.structural_points())
+        """g(x-) and g(x+) = g(x) at every structural point (one_sided),
+        read once and kept, since the function is immutable."""
+        pts = _sorted_union([self.interval.a, self.interval.b],
+                            self.step.breakpoints, self.linear.xs)
         left, right = self.one_sided(pts)
         for col in (pts, left, right):
             col.flags.writeable = False
-        return StructuralProfile(pts, right, left, right)
+        return StructuralProfile(pts, left, right)
 
     def __add__(self, other: "BVFunction") -> "BVFunction":
         return BVFunction(self.step + other.step, self.linear + other.linear)
@@ -518,9 +516,8 @@ class StructuralProfile:
     """
 
     points: np.ndarray
-    values: np.ndarray  # g(x)
     left: np.ndarray  # g(x-), with g(a) at a
-    right: np.ndarray  # g(x+), the values array itself (g(b) at b)
+    right: np.ndarray  # g(x+), which is g(x) (g is right-continuous; g(b) at b)
 
 
 def as_bv_function(g) -> BVFunction:

@@ -10,6 +10,10 @@ Integrator spec files are JSON documents with an explicit "type" tag:
 step | piecewise_linear | sum | counterexample. Exit codes are stable:
 0 ok, 1 selftest failure, 2 parse/validation, 3 evaluation, 4 threshold not
 found, 5 I/O, 6 precondition.
+
+The counterexample files are the bytes of json.dump(doc, fh, indent=2),
+streamed from a non-empty flat object in which a list member whose first
+element is a float is a float column (see _write_json).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
@@ -50,6 +54,7 @@ from .stieltjes import (
 )
 from .counterexample import (
     Certificate,
+    IndexRecords,
     ThresholdNotFound,
     build_counterexample,
     power_sine_family,
@@ -153,10 +158,10 @@ def integrator_from_doc(doc, path: str = "$") -> BVFunction:
             gamma = _as_number(_need(doc, "gamma", path), path + ".gamma")
             beta = _as_number(_need(doc, "beta", path), path + ".beta")
             truncation = _need(doc, "truncation", path)
-            if not isinstance(truncation, int) or truncation < 1:
+            if type(truncation) is not int or truncation < 1:  # JSON true is no count
                 raise SpecFileError("truncation must be a positive integer", path + ".truncation")
             threshold = doc.get("threshold")
-            if threshold is not None and (not isinstance(threshold, int) or threshold < 1):
+            if threshold is not None and (type(threshold) is not int or threshold < 1):
                 raise SpecFileError("threshold must be a positive integer", path + ".threshold")
             f, fam = power_sine_family(gamma)
             g, _, _ = build_counterexample(
@@ -232,99 +237,58 @@ def _write_csv(path: str, header: str, rows, metadata: list[str]) -> None:
 # JSON files, streamed
 # ---------------------------------------------------------------------------
 
-_CHUNK = 2048  # list elements or table rows formatted per write
-_INDENT = "  "
+_CHUNK = 2048  # column elements or records formatted per write
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_RECORD_KEYS = ("n", "partial_integral", "tail_lower_bound", "corrected", "negative")
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """A JSON list of objects that share their keys, held as one 1-D numpy
-    array per key, so that no object is built to write it."""
-
-    keys: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
-
-
-def _scalar_texts(values) -> list[str] | None:
-    """What json.dump writes for each scalar of a list or 1-D array, or None
-    when the list holds a container."""
-    if isinstance(values, np.ndarray):
-        if values.dtype == bool:
-            return np.where(values, "true", "false").tolist()
-        if values.dtype.kind in "iu":
-            return list(map(int.__repr__, values.tolist()))
-        values = values.tolist()
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # not all floats
-        if any(isinstance(v, (dict, list, tuple, _Rows)) for v in values):
-            return None
-        return list(map(json.dumps, values))
-    if np.isfinite(values).all():
+def _texts(column) -> list[str]:
+    """What json.dumps writes for each element of a list of floats or of a
+    1-D numpy column of bools, integers or floats."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == bool:
+            return np.where(column, "true", "false").tolist()
+        if column.dtype.kind in "iu":
+            return list(map(int.__repr__, column.tolist()))
+        column = column.tolist()
+    texts = list(map(float.__repr__, column))
+    if np.isfinite(column).all():
         return texts
     return [_NONFINITE.get(t, t) for t in texts]
 
 
-def _json_pieces(value, level: int):
-    """The text of json.dump(value, fh, indent=2) at nesting depth level,
-    yielded in pieces of at most _CHUNK elements."""
-    inner = "\n" + _INDENT * (level + 1)
-    close = "\n" + _INDENT * level
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        sep = "{" + inner
-        for key, item in value.items():
-            yield sep + json.dumps(key) + ": "
-            yield from _json_pieces(item, level + 1)
-            sep = "," + inner
-        yield close + "}"
+def _member_pieces(value):
+    """The text of one member value of a flat object, one level in: a float
+    column or the records in pieces of _CHUNK elements, anything else whole."""
+    if isinstance(value, IndexRecords):
+        names = [field.name for field in fields(IndexRecords)]
+        columns = [getattr(value, name) for name in names]
+        row = "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in names) + "\n    }"
+        size, chunk = len(value.n), lambda start, stop: [
+            row % texts for texts in zip(*(_texts(col[start:stop]) for col in columns))]
+    elif isinstance(value, list) and value and isinstance(value[0], float):
+        size, chunk = len(value), lambda start, stop: _texts(value[start:stop])
+    else:
+        yield json.dumps(value, indent=2).replace("\n", "\n  ")
         return
-    if isinstance(value, _Rows):
-        size = len(value.columns[0])
-        if not size:
-            yield "[]"
-            return
-        field = "\n" + _INDENT * (level + 2)
-        row = ("{" + ",".join(f"{field}{json.dumps(k)}: %s" for k in value.keys)
-               + inner + "}")
-        sep = "[" + inner
-        for start in range(0, size, _CHUNK):
-            texts = [_scalar_texts(col[start:start + _CHUNK]) for col in value.columns]
-            yield sep + ("," + inner).join(row % fields for fields in zip(*texts))
-            sep = "," + inner
-        yield close + "]"
-        return
-    if isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        sep = "[" + inner
-        for start in range(0, len(value), _CHUNK):
-            chunk = value[start:start + _CHUNK]
-            texts = _scalar_texts(chunk)
-            if texts is not None:
-                yield sep + ("," + inner).join(texts)
-                sep = "," + inner
-                continue
-            for item in chunk:
-                yield sep
-                yield from _json_pieces(item, level + 1)
-                sep = "," + inner
-        yield close + "]"
-        return
-    yield _scalar_texts([value])[0]
+    sep = "[\n    "
+    for start in range(0, size, _CHUNK):
+        yield sep + ",\n    ".join(chunk(start, start + _CHUNK))
+        sep = ",\n    "
+    yield "\n  ]" if size else "[]"
 
 
-def _write_json(path: str, doc) -> None:
-    """Write exactly the bytes of json.dump(doc, fh, indent=2) and a newline,
-    streamed in bounded pieces; _Rows values are written as lists of objects."""
+def _write_json(path: str, doc: dict) -> None:
+    """Write the bytes of json.dump(doc, fh, indent=2) and a newline. doc is
+    a non-empty flat object; a list member whose first element is a float is
+    a float column. Float columns and IndexRecords (one object per record)
+    stream in bounded pieces; every other member goes through json.dumps."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_pieces(doc, 0))
-        fh.write("\n")
+        sep = "{\n  "
+        for key, value in doc.items():
+            fh.write(sep + json.dumps(key) + ": ")
+            fh.writelines(_member_pieces(value))
+            sep = ",\n  "
+        fh.write("\n}\n")
 
 
 def _certificate_doc(cert: Certificate, params, records) -> dict:
@@ -345,16 +309,12 @@ def _certificate_doc(cert: Certificate, params, records) -> dict:
     }
 
 
-def _record_rows(cert: Certificate) -> _Rows:
-    return _Rows(_RECORD_KEYS, tuple(getattr(cert.records, key) for key in _RECORD_KEYS))
-
-
 def certificate_to_doc(cert: Certificate, params) -> dict:
     """The certificate as the JSON document the counterexample verb writes,
     with one object per index record."""
-    rows = _record_rows(cert)
-    columns = [col.tolist() for col in rows.columns]
-    return _certificate_doc(cert, params, [dict(zip(rows.keys, r)) for r in zip(*columns)])
+    names = [field.name for field in fields(IndexRecords)]
+    columns = [getattr(cert.records, name).tolist() for name in names]
+    return _certificate_doc(cert, params, [dict(zip(names, r)) for r in zip(*columns)])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +341,7 @@ def cmd_counterexample(args) -> int:
     if args.out_g:
         _write_json(args.out_g, integrator_to_doc(BVFunction.from_step(g)))
     if args.out_certificate:
-        _write_json(args.out_certificate, _certificate_doc(cert, params, _record_rows(cert)))
+        _write_json(args.out_certificate, _certificate_doc(cert, params, cert.records))
     print(f"threshold={params.threshold}")
     print(f"empirical_threshold={cert.empirical_threshold}")
     print(f"certified_threshold={cert.certified_threshold}")

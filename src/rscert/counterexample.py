@@ -131,7 +131,6 @@ class Certificate:
 @dataclass(frozen=True)
 class FamilyReport:
     ok: bool
-    checked: int
     violation_index: int | None
     violation_kind: str | None  # interleaving | oscillation | convergence
     detail: str
@@ -212,7 +211,7 @@ def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
     troughs, crests = _family_points(fam, np.arange(1, count + 1))
 
     if not crests[0] <= b:
-        return FamilyReport(False, count, 1, "interleaving",
+        return FamilyReport(False, 1, "interleaving",
                             f"crest(1)={crests[0].item()!r} exceeds the domain end {b!r}",
                             0.0), values
     # index i checks a < trough(i + 1) < crest(i + 1), then crest(i + 2) <
@@ -224,15 +223,15 @@ def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
     if bad.size:
         i = int(bad[0])
         if not ordered[i]:
-            return FamilyReport(False, count, i + 1, "interleaving",
+            return FamilyReport(False, i + 1, "interleaving",
                                 f"need {a!r} < trough < crest at n={i + 1}", 0.0), values
-        return FamilyReport(False, count, i + 2, "interleaving",
+        return FamilyReport(False, i + 2, "interleaving",
                             f"crest({i + 2}) does not stay below trough({i + 1})", 0.0), values
 
     horizon_gap = crests[-1].item() - a
     far_gap = fam.crest(64 * count) - a
     if not far_gap <= max(horizon_gap / 4.0, slack(horizon_gap)):
-        return FamilyReport(False, count, count, "convergence",
+        return FamilyReport(False, count, "convergence",
                             f"crest({64 * count}) - a = {far_gap!r} is not shrinking toward 0",
                             horizon_gap), values
 
@@ -245,15 +244,15 @@ def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
     bad = np.flatnonzero(rises < required - slack(float(required[0])))
     if bad.size:
         n = int(bad[0]) + 1
-        return FamilyReport(False, count, n, "oscillation",
+        return FamilyReport(False, n, "oscillation",
                             f"f(crest)-f(trough)={rises[bad[0]].item()!r} < "
                             f"alpha*n^-gamma={required[bad[0]].item()!r} at n={n}",
                             horizon_gap), values
-    return FamilyReport(True, count, None, None, "all checks passed", horizon_gap), values
+    return FamilyReport(True, None, None, "all checks passed", horizon_gap), values
 
 
 def build_bricks(fam: OscillationFamily, beta: float, truncation: int,
-                 interval: Interval | None = None, first: int = 1) -> StepFunction:
+                 interval: Interval, first: int = 1) -> StepFunction:
     """Sum of bricks n^-beta * chi_[trough(n), crest(n)) for n = first..truncation.
 
     Right-continuous, zero at the left endpoint, with exactly two jumps per
@@ -282,8 +281,6 @@ def build_bricks(fam: OscillationFamily, beta: float, truncation: int,
     # np.float_power gives Python's float(n) ** -beta bit for bit, as
     # _index_records and tail_lower_bound do; numpy's vector ** may not
     values[1::2] = np.float_power(ns[::-1], -beta)
-    if interval is None:
-        interval = Interval(fam.accumulation_point, float(hi[0]))
     return StepFunction(interval, breakpoints, values, 0.0)
 
 

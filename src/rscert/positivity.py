@@ -192,7 +192,10 @@ def support_edge(g: BVFunction) -> float | None:
     return x0 + (float(prof.points[k + 1]) - x0) * (0.0 - v0) / (v1 - v0)
 
 
-def detect_case1(g, f, grid_size: int = 1025) -> PositivityWitness | None:
+ENCLOSE_GRID = 1025  # samples of f's certified enclosure in the two detectors
+
+
+def detect_case1(g, f) -> PositivityWitness | None:
     """Witness just past the support edge when the integrator jumps off zero.
 
     If the right limit at the support edge x_L is positive, y = x_L + eps
@@ -217,7 +220,7 @@ def detect_case1(g, f, grid_size: int = 1025) -> PositivityWitness | None:
     pos_y = pair.pos.evaluate(y)
     neg_y = pair.neg.evaluate(y)
     window_lo = max(g.interval.a, edge - eps)
-    bounds = f.enclose(window_lo, y, grid_size)
+    bounds = f.enclose(window_lo, y, ENCLOSE_GRID)
     if not bounds.certified:
         return None
     lower = pos_y * bounds.lower - neg_y * bounds.upper
@@ -226,7 +229,7 @@ def detect_case1(g, f, grid_size: int = 1025) -> PositivityWitness | None:
     return None
 
 
-def detect_case2(f, g, y: float, grid_size: int = 1025) -> PositivityWitness | None:
+def detect_case2(f, g, y: float) -> PositivityWitness | None:
     """Witness at y when the integrator has only moved upward so far.
 
     With the minimal Jordan split, neg(y) = 0 and pos(y) > 0 give the lower
@@ -240,7 +243,7 @@ def detect_case2(f, g, y: float, grid_size: int = 1025) -> PositivityWitness | N
     pos_y = pair.pos.evaluate(y)
     if not pos_y > 0.0:
         return None
-    bounds = f.enclose(g.interval.a, y, grid_size)
+    bounds = f.enclose(g.interval.a, y, ENCLOSE_GRID)
     if not bounds.certified or not bounds.lower > 0.0:
         return None
     lower = pos_y * bounds.lower
@@ -335,7 +338,7 @@ SEGMENT_SAMPLES = 8  # inner points of the edge piece of a sloped g; they place 
 
 def _structurally_nonnegative(g: BVFunction) -> bool:
     prof = g.profile
-    lowest = min(prof.values.min(), prof.left.min())
+    lowest = min(prof.right.min(), prof.left.min())
     return lowest >= -slack(g.total_variation(g.interval.a, g.interval.b))
 
 
@@ -398,11 +401,11 @@ def find_positive_y(f, g) -> PositivityWitness:
     y, lower = float(j.ys[hits[0]]), float(j.values[hits[0]])
     witness = PositivityWitness(y, lower, "scan")
 
-    start = prof.values[0]
-    moved = np.flatnonzero((prof.left[1:] != start) | (prof.values[1:] != start)) + 1
+    start = prof.right[0]
+    moved = np.flatnonzero((prof.left[1:] != start) | (prof.right[1:] != start)) + 1
     m = int(moved[0])  # J(y) > 0, so g has moved by y
     if y == pts[m]:
-        jump, rise = prof.values[m] - prof.left[m], prof.left[m] - start
+        jump, rise = prof.right[m] - prof.left[m], prof.left[m] - start
         if jump >= 0.0 and rise >= 0.0:  # only up so far: pos(y) = jump + rise
             bound = float(jump + rise) * f_work.min_value(a, y)
             if bound > slack(bound):

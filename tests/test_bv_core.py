@@ -384,14 +384,31 @@ class TestStructuralProfile:
             prof = g.profile
             assert prof.points.tolist() == list(g.structural_points())
             for i, x in enumerate(prof.points.tolist()):
-                assert prof.values[i] == g.evaluate(x)
+                assert prof.right[i] == g.evaluate(x)
                 if x > interval.a:
                     assert prof.left[i] == g.left_limit(x)
                 if x < interval.b:
                     assert prof.right[i] == g.right_limit(x)
             # the missing one-sided value at either end is the value itself
-            assert prof.left[0] == prof.values[0]
-            assert prof.right[-1] == prof.values[-1]
+            assert prof.left[0] == g.evaluate(interval.a)
+            assert prof.right[-1] == g.evaluate(interval.b)
+
+    def test_points_are_the_sorted_set_bit_for_bit(self):
+        def reference(g):
+            pts = {g.interval.a, g.interval.b}
+            pts.update(g.step.breakpoints.tolist())
+            pts.update(g.linear.xs.tolist())
+            return np.array(sorted(pts))
+
+        rng = sampling.make_rng(5454)
+        gs = [sampling.random_bv(rng, sampling.random_interval(rng)) for _ in range(300)]
+        # a knot on a breakpoint is one structural point
+        gs.append(BVFunction(brick(0.3, 0.6),
+                             PiecewiseLinear(((0.0, 0.0), (0.3, 1.0), (1.0, 0.5)))))
+        for g in gs:
+            assert g.profile.points.tobytes() == reference(g).tobytes()
+            assert g.structural_points() == tuple(reference(g).tolist())
+        assert gs[-1].structural_points() == (0.0, 0.3, 0.6, 1.0)
 
     def test_one_sided_matches_scalar_limits_anywhere(self):
         rng = sampling.make_rng(5252)
@@ -417,10 +434,10 @@ class TestStructuralProfile:
     def test_read_once_and_read_only(self):
         g = BVFunction.from_step(brick(0.3, 0.6))
         assert g.profile is g.profile
-        assert g.profile.values.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert g.profile.right.tolist() == [0.0, 1.0, 0.0, 0.0]
         assert g.profile.left.tolist() == [0.0, 0.0, 1.0, 0.0]
         with pytest.raises(ValueError):
-            g.profile.values[0] = 1.0
+            g.profile.right[0] = 1.0
 
 
 class TestJumps:

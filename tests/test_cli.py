@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,16 @@ from rscert.cli import (
     integrator_from_doc,
     integrator_to_doc,
     main,
-    _Rows,
+    _certificate_doc,
     _write_json,
 )
 from rscert.counterexample import (
     POWER_SINE_UPPER_BOUND,
+    CounterexampleParams,
+    IndexRecords,
+    build_bricks,
     build_counterexample,
+    certify_negative,
     power_sine_family,
 )
 
@@ -124,6 +129,17 @@ class TestSpecFiles:
     def test_unknown_type(self):
         with pytest.raises(SpecFileError):
             integrator_from_doc({"type": "mystery"})
+
+    @pytest.mark.parametrize("field", ["truncation", "threshold"])
+    def test_boolean_is_not_a_count(self, tmp_path, capsys, field):
+        doc = {"type": "counterexample", "gamma": 0.5, "beta": 1.5, "truncation": 1000}
+        doc[field] = True
+        with pytest.raises(SpecFileError) as err:
+            integrator_from_doc(doc)
+        assert err.value.path == "$." + field
+        path = write_doc(tmp_path, doc)
+        assert main(["integrate", "--f", "2", "--g", path, "--y", "0.5"]) == EXIT_PARSE
+        assert f"$.{field}: {field} must be a positive integer" in capsys.readouterr().err
 
 
 class TestIntegrateCommand:
@@ -263,14 +279,18 @@ WRITER_DOCS = [
     ]},
     {"verdict": False, "threshold": 7, "note": 'caf\u00e9 "quoted"\n\ttab',
      "step_failures": [[0.25, 1.5e-13], [0.5, -0.0]]},
-    [float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, -0.0, 3, True, None, "s"],
-    # longer than one written piece, flat and with containers among scalars
-    {"flat": [i / 7.0 for i in range(5000)], "mixed": [1.5, 2, [3.0, {"x": []}], None] * 1500},
-    [],
-    {},
-    2.5,
-    None,
+    {"column": [float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, -0.0],
+     "scalars": [3, True, None, "s", 2.5], "number": 2.5, "nothing": None},
+    # longer than one written piece, a float column and a list of containers and scalars
+    {"flat": [i / 7.0 for i in range(5000)], "mixed": [2, 1.5, [3.0, {"x": []}], None] * 1500},
 ]
+
+
+def index_records(size):
+    """IndexRecords of size rows whose float columns hold NaN and +-inf."""
+    x = np.linspace(-1.0, 1.0, size)
+    x[size // 2:size // 2 + 3] = [np.nan, np.inf, -np.inf][:min(3, size)]
+    return IndexRecords(np.arange(1, size + 1), x, x[::-1].copy(), 2.0 * x, x < 0.0)
 
 
 class TestJsonWriter:
@@ -282,15 +302,25 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("size", [0, 1, 5000])
     def test_rows_are_written_as_objects(self, tmp_path, size):
-        keys = ("n", "x", "negative")
-        x = np.linspace(-1.0, 1.0, size)
-        x[size // 2:size // 2 + 3] = [np.nan, np.inf, -np.inf][:min(3, size)]
-        columns = (np.arange(1, size + 1), x, x < 0.0)
-        rows = [dict(zip(keys, r)) for r in zip(*(col.tolist() for col in columns))]
+        records = index_records(size)
+        keys = [field.name for field in fields(IndexRecords)]
+        columns = [getattr(records, key).tolist() for key in keys]
+        rows = [dict(zip(keys, r)) for r in zip(*columns)]
         path = tmp_path / "rows.json"
-        _write_json(str(path), {"head": [1.0], "records": _Rows(keys, columns), "tail": None})
+        _write_json(str(path), {"head": [1.0], "records": records, "tail": None})
         expected = json.dumps({"head": [1.0], "records": rows, "tail": None}, indent=2)
         assert path.read_bytes() == (expected + "\n").encode()
+
+    def test_failing_certificate_equals_json_dump(self, tmp_path):
+        f, fam = power_sine_family(0.5)
+        g_bad = build_bricks(fam, 1.5, 200, interval=f.interval, first=5)  # brick 5 kept
+        params = CounterexampleParams(beta=1.5, truncation=200, threshold=5)
+        cert = certify_negative(f, g_bad, fam, params, f_sup=POWER_SINE_UPPER_BOUND)
+        assert cert.step_failures
+        path = tmp_path / "cert.json"
+        _write_json(str(path), _certificate_doc(cert, params, cert.records))
+        expected = json.dumps(certificate_to_doc(cert, params), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
 
 
 @pytest.fixture(scope="module")

@@ -157,7 +157,8 @@ def step_instances():
         _, fam = power_sine_family(float(rng.uniform(0.2, 0.9)))
         beta = float(rng.uniform(1.1, 3.0))
         truncation = 1 + int(rng.integers(0, 80))
-        interval = None if i % 2 else Interval(0.0, 1.0)  # None ends on the last crest
+        # odd i end on the outermost crest, crest(1)
+        interval = Interval(fam.accumulation_point, fam.crest(1)) if i % 2 else Interval(0.0, 1.0)
         out.append(build_bricks(fam, beta, truncation, interval=interval))
     return out
 
