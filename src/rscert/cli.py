@@ -71,6 +71,7 @@ from .positivity import (
     support_edge,
 )
 from . import sampling
+from ._floattext import float_texts
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -237,23 +238,19 @@ def _write_csv(path: str, header: str, rows, metadata: list[str]) -> None:
 # JSON files, streamed
 # ---------------------------------------------------------------------------
 
-_CHUNK = 2048  # column elements or records formatted per write
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CHUNK = 8192  # column elements or records formatted per write
 
 
 def _texts(column) -> list[str]:
     """What json.dumps writes for each element of a list of floats or of a
-    1-D numpy column of bools, integers or floats."""
+    1-D numpy column of bools, integers or floats. Float text comes from
+    float_texts, which equals float.__repr__ and falls back to it."""
     if isinstance(column, np.ndarray):
         if column.dtype == bool:
             return np.where(column, "true", "false").tolist()
         if column.dtype.kind in "iu":
             return list(map(int.__repr__, column.tolist()))
-        column = column.tolist()
-    texts = list(map(float.__repr__, column))
-    if np.isfinite(column).all():
-        return texts
-    return [_NONFINITE.get(t, t) for t in texts]
+    return float_texts(column)
 
 
 def _member_pieces(value):
