@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_E10_MAX = 290  # largest |decimal exponent| handled without repr
+_E10_MAX = 99  # largest |decimal exponent| handled here: two exponent digits
 _TIE = 1e-7  # decisions closer than this, in units of the 17th digit, fall back
-_W = 24  # longest repr: "-1.2345678901234567e-100"
+_W = 23  # longest such text: "-0.00012345678901234567", "-1.2345678901234567e-99"
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CAP = 8192  # elements formatted at once, which bounds the working memory
 _SUB = 2048  # elements laid out at once, which keeps the character arrays in cache
@@ -37,46 +37,41 @@ _P_HL = _P_HI - _P_HH
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 
 # Seven blocks of four characters per element: '-', '0', '.' and the first
-# digit; four groups of four digits; the exponent text ("e-05", "e+123")
-# padded with NUL to eight characters.
-_LEAD = np.zeros((10, 4), np.uint32)
-_LEAD[:, :3] = np.frombuffer(b"-0.", np.uint8)
-_LEAD[:, 3] = 48 + np.arange(10)
-_GROUPS = 48 + (np.arange(10000)[:, None] // _P10[3::-1] % 10).astype(np.uint32)
-_EXPS = np.zeros((2 * _E10_MAX + 1, 8), np.uint32)
-for _e in range(-_E10_MAX, _E10_MAX + 1):
-    _t = b"e%+03d" % _e
-    _EXPS[_e + _E10_MAX, :len(_t)] = np.frombuffer(_t, np.uint8)
-_BLOCK_TABLES = [t.view(np.complex128).ravel() for t in
-                 [_LEAD] + [_GROUPS] * 4 + [_EXPS[:, :4].copy(), _EXPS[:, 4:].copy()]]
-_NUL = 6 * 4 + 3  # the last character of the exponent block
+# digit; four groups of four digits; the exponent ("e-05"); NUL.
+_E = np.arange(-_E10_MAX, _E10_MAX + 1)
+_BLOCK_TABLES = [np.array(t, np.uint32).T.copy().view(np.complex128).ravel() for t in (
+    [[45] * 10, [48] * 10, [46] * 10, 48 + np.arange(10)],
+    48 + np.arange(10000) // _P10[3::-1, None] % 10,
+    [[101] * _E.size, np.where(_E < 0, 45, 43), 48 + abs(_E) // 10, 48 + abs(_E) % 10],
+)]
+_BLOCK_TABLES[1:2] *= 4
 
 
 def _layouts() -> np.ndarray:
-    """Where the character at each output column sits in the blocks of the
-    first element, by (sign, form, p). Forms 0-19 are positional with decpt
-    = form - 3, 20 and 21 exponent with 2 and 3 exponent digits, 22 zero."""
-    table = np.full((2, 23, 18, _W), _NUL, np.intp)
-    for form in range(23):
+    """Where the character at each output column sits among the blocks, by
+    (sign, form, p). Forms 0-19 are positional with decpt = form - 3, 20 is
+    the exponent form and 21 zero. Source columns: 0 '-', 1 '0', 2 '.', 3-19
+    the digits, 20-23 the exponent, 24 NUL."""
+    rows = []
+    for form in range(22):
+        decpt = form - 3
         for p in range(1, 18):
-            decpt = form - 3
             digits = list(range(3, 3 + max(p, decpt + 1)))
-            if form == 22:
+            if form == 21:
                 cols = [1, 2, 1]
-            elif form >= 20:
-                cols = digits[:1] + ([2] + digits[1:p] if p > 1 else []) + list(range(20, 24 + form - 20))
+            elif form == 20:
+                cols = digits[:1] + [2] * (p > 1) + digits[1:p] + [20, 21, 22, 23]
             elif decpt >= 1:
                 cols = digits[:decpt] + [2] + digits[decpt:]
             else:
                 cols = [1, 2] + [1] * -decpt + digits
-            table[0, form, p, :len(cols)] = cols
-            table[1, form, p, :len(cols) + 1] = [0] + cols
-    return (table // 4 * (4 * _SUB) + table % 4).reshape(-1, _W)
+            rows.append(cols + [24] * (_W - len(cols)))
+    table = np.array(rows + [[0] + row[:-1] for row in rows])
+    return (table >> 2) * (4 * _SUB) + (table & 3)
 
 
 _LAYOUTS = _layouts()
-_E = np.arange(-_E10_MAX, _E10_MAX + 1)
-_FORMS = 18 * np.append(np.where((_E >= -4) & (_E < 16), _E + 4, np.where(abs(_E) < 100, 20, 21)), 22)
+_FORMS = 17 * np.append(np.where((_E >= -4) & (_E < 16), _E + 4, 20), 21)
 
 
 def _scaled(a: np.ndarray, e10: np.ndarray):
@@ -142,14 +137,15 @@ def float_texts(column: np.ndarray) -> list[str]:
     D, e10, p, good = _shortest(x)
     zero = x == 0.0
     e10 += _E10_MAX
-    layout = _FORMS.take(np.where(zero, -1, e10)) + ((x.view(np.int64) >> 63) & 23 * 18) + p
+    layout = _FORMS.take(np.where(zero, -1, e10)) + ((x.view(np.int64) >> 63) & 22 * 17) + p - 1
     top = D // _P10[12]  # the first 5 digits, then 4, 4 and 4
     low = D - top * _P10[12]
     mid = low // _P10[8]
     low -= mid * _P10[8]
     lead, mid_low = top // 10000, low // 10000
-    parts = (lead, top - lead * 10000, mid, mid_low, low - mid_low * 10000, e10, e10)
+    parts = (lead, top - lead * 10000, mid, mid_low, low - mid_low * 10000, e10)
     blocks = np.empty((7, _SUB), np.complex128)
+    blocks[6] = 0
     chars = blocks.view(np.uint32).ravel()
     base = np.arange(0, 4 * _SUB, 4)[:, None]
     texts = []

@@ -13,7 +13,9 @@ found, 5 I/O, 6 precondition.
 
 The counterexample files are the bytes of json.dump(doc, fh, indent=2),
 streamed from a non-empty flat object in which a list member whose first
-element is a float is a float column (see _write_json).
+element is a float is a float column (see _write_json). Their float text,
+and that of the reproduce-figure CSV columns, comes a column at a time from
+_floattext.float_texts, which equals float.__repr__ and falls back to it.
 """
 
 from __future__ import annotations
@@ -243,8 +245,10 @@ _CHUNK = 8192  # column elements or records formatted per write
 
 def _texts(column) -> list[str]:
     """What json.dumps writes for each element of a list of floats or of a
-    1-D numpy column of bools, integers or floats. Float text comes from
-    float_texts, which equals float.__repr__ and falls back to it."""
+    1-D numpy column of bools, integers or floats. Floats go through
+    float_texts in one call: it equals float.__repr__, falls back to it for
+    the elements it cannot decide, and spells non-finite values as json
+    does."""
     if isinstance(column, np.ndarray):
         if column.dtype == bool:
             return np.where(column, "true", "false").tolist()
@@ -368,28 +372,25 @@ def cmd_reproduce_figure(args) -> int:
         "earlier rows carry the raw truncated value 0",
         f"negativity verdict: {'true' if cert.verdict else 'false'}",
     ]
-    rows = []
-    for y, value, at_jump in zip(full.ys, full.values, full.at_jump):
-        if y > window:
-            continue
-        value = value - correction if y >= first_brick else value
-        rows.append((_fmt(y), _fmt(value), "jump" if at_jump else "grid"))
-    _write_csv(args.out, "y,J,flag", rows, metadata)
+    shown = full.ys <= window
+    ys, values = full.ys[shown], full.values[shown]
+    values = np.where(ys >= first_brick, values - correction, values)
+    flags = np.where(full.at_jump[shown], "jump", "grid").tolist()
+    _write_csv(args.out, "y,J,flag", zip(float_texts(ys), float_texts(values), flags), metadata)
 
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     xs = np.linspace(0.0, window, FIGURE_GRID + 1)
-    f_vals = f.evaluate_array(xs)
     _write_csv(
         stem + "_f.csv", "x,f",
-        [(_fmt(x), _fmt(v)) for x, v in zip(xs, f_vals)],
+        zip(float_texts(xs), float_texts(f.evaluate_array(xs))),
         ["oscillating integrand sampled on the window"],
     )
     points = g.jumps_in(0.0, window)[:, 0]
-    g_rows = [(_fmt(0.0), _fmt(g.evaluate(0.0)), "grid")]
-    g_rows += [(_fmt(p), _fmt(v), "jump") for p, v in zip(points, g.evaluate_array(points))]
-    g_rows.append((_fmt(window), _fmt(g.evaluate(window)), "grid"))
+    xs = np.concatenate([[0.0], points, [window]])
+    g_vals = np.concatenate([[g.evaluate(0.0)], g.evaluate_array(points), [g.evaluate(window)]])
+    flags = ["grid"] + ["jump"] * len(points) + ["grid"]
     _write_csv(
-        stem + "_g.csv", "x,g,flag", g_rows,
+        stem + "_g.csv", "x,g,flag", zip(float_texts(xs), float_texts(g_vals), flags),
         ["brick integrator at its jump points (right-continuous values)"],
     )
     print(f"wrote {args.out}, {stem}_f.csv, {stem}_g.csv")

@@ -311,6 +311,19 @@ class TestJsonWriter:
         expected = json.dumps({"head": [1.0], "records": rows, "tail": None}, indent=2)
         assert path.read_bytes() == (expected + "\n").encode()
 
+    def test_many_pieces_equal_json_dump(self, tmp_path, monkeypatch):
+        from rscert import cli
+
+        monkeypatch.setattr(cli, "_CHUNK", 1000)
+        records = index_records(2500)
+        keys = [field.name for field in fields(IndexRecords)]
+        rows = [dict(zip(keys, r)) for r in zip(*(getattr(records, k).tolist() for k in keys))]
+        flat = [i / 7.0 - 100.0 for i in range(2500)]
+        path = tmp_path / "pieces.json"
+        _write_json(str(path), {"flat": flat, "records": records})
+        expected = json.dumps({"flat": flat, "records": rows}, indent=2)
+        assert path.read_bytes() == (expected + "\n").encode()
+
     def test_failing_certificate_equals_json_dump(self, tmp_path):
         f, fam = power_sine_family(0.5)
         g_bad = build_bricks(fam, 1.5, 200, interval=f.interval, first=5)  # brick 5 kept
