@@ -36,15 +36,16 @@ _P_HH = (_P_HI.view(np.int64) & np.int64(-1 << 27)).view(np.float64)  # top 26 b
 _P_HL = _P_HI - _P_HH
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 
-# Seven blocks of four characters per element: '-', '0', '.' and the first
-# digit; four groups of four digits; the exponent ("e-05"); NUL.
+# Seven blocks of four characters (one complex128) per element: '-', '0',
+# '.' and the first digit; four groups of four digits; the exponent
+# ("e-05"); NUL. The first six are read from these tables.
 _E = np.arange(-_E10_MAX, _E10_MAX + 1)
-_BLOCK_TABLES = [np.array(t, np.uint32).T.copy().view(np.complex128).ravel() for t in (
+_LEAD, _GROUP, _EXP = (np.array(t, np.uint32).T.copy().view(np.complex128).ravel() for t in (
     [[45] * 10, [48] * 10, [46] * 10, 48 + np.arange(10)],
     48 + np.arange(10000) // _P10[3::-1, None] % 10,
     [[101] * _E.size, np.where(_E < 0, 45, 43), 48 + abs(_E) // 10, 48 + abs(_E) % 10],
-)]
-_BLOCK_TABLES[1:2] *= 4
+))
+_BLOCK_TABLES = (_LEAD, _GROUP, _GROUP, _GROUP, _GROUP, _EXP)
 
 
 def _layouts() -> np.ndarray:

@@ -281,7 +281,7 @@ WRITER_DOCS = [
      "step_failures": [[0.25, 1.5e-13], [0.5, -0.0]]},
     {"column": [float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, -0.0],
      "scalars": [3, True, None, "s", 2.5], "number": 2.5, "nothing": None},
-    # longer than one written piece, a float column and a list of containers and scalars
+    # a long float column, and a list of containers and scalars
     {"flat": [i / 7.0 for i in range(5000)], "mixed": [2, 1.5, [3.0, {"x": []}], None] * 1500},
 ]
 
