@@ -7,7 +7,7 @@ is monotone in p). They are laid out in repr's positional form (-4 < decpt
 <= 16) or exponent form by one gather from a table of layouts. Elements that
 cannot be decided with margin go to float.__repr__ itself: near-ties, powers
 of two (their gap below is half the gap above), carries to a power of ten,
-exponents outside the table, subnormals, NaN and infinities.
+|decimal exponent| above 99, subnormals, NaN and infinities.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def _scaled(a: np.ndarray, e10: np.ndarray):
     c = 134217729.0 * a  # Veltkamp split: a = ah + al, 26 bits each
     ah = c - (c - a)
     al = a - ah
-    p = a * hi
-    t = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * _P_LO[k]
+    prod = a * hi  # an integer once e10 is right: at least 1e16 > 2^53
+    t = (((ah * hh - prod) + ah * hl + al * hh) + al * hl) + a * _P_LO[k]
     ft = np.floor(t)
-    return p.astype(np.int64) + ft.astype(np.int64), t - ft, hi
+    return prod.astype(np.int64) + ft.astype(np.int64), t - ft, hi
 
 
 @np.errstate(all="ignore")  # elements that are not good are overwritten
@@ -138,6 +138,7 @@ def float_texts(column: np.ndarray) -> list[str]:
     D, e10, p, good = _shortest(x)
     zero = x == 0.0
     e10 += _E10_MAX
+    # the row of _LAYOUTS: (sign * 22 + form) * 17 + p - 1
     layout = _FORMS.take(np.where(zero, -1, e10)) + ((x.view(np.int64) >> 63) & 22 * 17) + p - 1
     top = D // _P10[12]  # the first 5 digits, then 4, 4 and 4
     low = D - top * _P10[12]
@@ -153,6 +154,7 @@ def float_texts(column: np.ndarray) -> list[str]:
     for s in range(0, n, _SUB):
         t = min(n, s + _SUB) - s
         for block, (table, index) in enumerate(zip(_BLOCK_TABLES, parts)):
+            # undecided elements may index out of range: they are overwritten
             table.take(index[s:s + t], out=blocks[block, :t], mode="clip")
         index = _LAYOUTS.take(layout[s:s + t], axis=0)
         index += base[:t]
