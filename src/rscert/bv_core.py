@@ -203,7 +203,7 @@ class StepFunction:
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < self.interval.a or xs.max() > self.interval.b):
+        if xs.size and not (xs.min() >= self.interval.a and xs.max() <= self.interval.b):
             raise DomainError("points outside the function's interval")
         vals = self.piece_values[np.searchsorted(self.breakpoints, xs, side="right")]
         return np.where(xs == self.interval.b, self.end_value, vals)
@@ -341,7 +341,7 @@ class PiecewiseLinear:
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         """evaluate at every point, with the same arithmetic: equal bit for bit."""
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < self.interval.a or xs.max() > self.interval.b):
+        if xs.size and not (xs.min() >= self.interval.a and xs.max() <= self.interval.b):
             raise DomainError("points outside the function's interval")
         kx, ky = self.xs, self.ys
         i = np.clip(np.searchsorted(kx, xs, side="right"), 1, len(kx) - 1) - 1

@@ -35,6 +35,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -558,14 +559,11 @@ class IntegrandSpec:
             raise EvaluationError(f"expression undefined at x={float(first)!r}")
         return values
 
-    def _grid_values(self, resolution: int) -> np.ndarray:
-        cache = self.__dict__.setdefault("_modulus_grid_cache", {})
-        vals = cache.get(resolution)
-        if vals is None:
-            xs = np.linspace(self.interval.a, self.interval.b, resolution + 1)
-            vals = self.evaluate_array(xs)
-            cache[resolution] = vals
-        return vals
+    @cached_property
+    def _grid_values(self) -> np.ndarray:
+        """The integrand on the Sampled modulus's grid, read once: the spec is immutable."""
+        xs = np.linspace(self.interval.a, self.interval.b, self.modulus.resolution + 1)
+        return self.evaluate_array(xs)
 
     @property
     def heuristic(self) -> bool:
@@ -589,7 +587,7 @@ class IntegrandSpec:
             return m.constant * delta**m.exponent
         h = self.interval.length / m.resolution
         width = int(math.floor(delta / h + 1e-9))
-        return _window_oscillation(self._grid_values(m.resolution), width) * m.safety_factor
+        return _window_oscillation(self._grid_values, width) * m.safety_factor
 
     def pl_form(self) -> PiecewiseLinear | None:
         """Exact piecewise-linear form of a syntactically affine expression,

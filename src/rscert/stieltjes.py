@@ -49,8 +49,9 @@ EVALUATION_BUDGET = 2**21  # midpoint evaluations per certified integration call
 class IntegralResult:
     """Integral value with a one-sided error bound.
 
-    error_bound is 0 for purely exact computations; certified is False
-    whenever a heuristic (Sampled) modulus contributed to the bound.
+    error_bound is 0 for exact computations, leaving out a few ulps of
+    rounding per term; certified is False whenever a heuristic (Sampled)
+    modulus contributed to the bound.
     """
 
     value: float
@@ -92,10 +93,10 @@ def rs_jump_exact(f, g: StepFunction | BVFunction, y: float) -> IntegralResult:
 
 
 def _cells(lin: PiecewiseLinear, ys: np.ndarray, *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct cuts a, ys, lin's knots and any extra points, up to
-    ys[-1], and lin's slope on each cell between consecutive cuts."""
+    """The sorted distinct cuts a, ys, lin's knots and any extra points, from
+    a up to ys[-1], and lin's slope on each cell between consecutive cuts."""
     cuts = _sorted_union([lin.interval.a], ys, lin.xs, *extra)
-    cuts = cuts[cuts <= ys[-1]]
+    cuts = cuts[(cuts >= lin.interval.a) & (cuts <= ys[-1])]
     return cuts, lin.slopes()[np.searchsorted(lin.xs, cuts[:-1], side="right") - 1]
 
 
@@ -151,11 +152,12 @@ def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -
     """Integral of f against a piecewise-linear integrator, with a bound.
 
     The cumulative kernel read at y, whose cells are g's slope pieces clipped
-    to [a, y]. Exact (bound 0, certified) when f has an exact
-    piecewise-linear form. Otherwise composite midpoint sums over the cells
-    are refined until sum_i |s_i| * len_i * omega_f(midpoint spacing) <= tol,
-    within the round and evaluation caps; failing that, ToleranceNotReached
-    carries the best achievable value and bound.
+    to [a, y]. When f has an exact piecewise-linear form, _cell_terms with
+    bound 0 (certified; it leaves out a few ulps of rounding per cell).
+    Otherwise composite midpoint sums over the cells are refined until
+    sum_i |s_i| * len_i * omega_f(midpoint spacing) <= tol, within the round
+    and evaluation caps; failing that, ToleranceNotReached carries the best
+    achievable value and bound.
     """
     _require_upper_limit(g.interval, y)
     if not tol > 0.0:
@@ -207,26 +209,28 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
     return IntegralResult(value, bound, not f.heuristic)
 
 
-def rs_pl_integrator_exact(values_of, f: PiecewiseLinear, y: float) -> IntegralResult:
-    """Exact integral of a BV-representable integrand against a PL integrator.
+def _cell_terms(u: BVFunction, lin: PiecewiseLinear, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts of _cell_read(u, lin, ys) and the integral of u dlin on each
+    cell, where both are affine: s * (x1 - x0) * (u(x0+) + u(x1-)) / 2 with
+    s lin's slope, not (lin(x1) - lin(x0)) * ..., whose rounding grows with
+    |lin| and so moves when a constant is added to lin."""
+    cuts, slopes, u0, u1 = _cell_read(u, lin, ys)
+    return cuts, slopes * np.diff(cuts) * (0.5 * (u0 + u1))
 
-    Both are affine on every cell of _cell_read, where the integral is
-    s * (x1 - x0) * (u(x0+) + u(x1-)) / 2 with s the integrator's slope
-    (_pl_integrator_terms); the terms are summed with math.fsum.
-    """
+
+def rs_pl_integrator_exact(values_of, f: PiecewiseLinear, y: float) -> IntegralResult:
+    """Integral of a BV-representable integrand against a PL integrator:
+    the terms of _cell_terms summed with math.fsum, with bound 0."""
     return IntegralResult(math.fsum(_pl_integrator_terms(values_of, f, y).tolist()), 0.0, True)
 
 
 def _pl_integrator_terms(values_of, f: PiecewiseLinear, y: float) -> np.ndarray:
-    """The integral of values_of df over each cell of [a, y] (_cell_read)."""
+    """The integral of values_of df over each cell of [a, y] (_cell_terms)."""
     values_of = as_bv_function(values_of)
     _require_upper_limit(f.interval, y)
     if values_of.interval != f.interval:
         raise DomainError("integrand and integrator must share one interval")
-    cuts, slopes, u0, u1 = _cell_read(values_of, f, np.array([y]))
-    # the stored slope times the cell length, not f(x1) - f(x0): the latter
-    # carries a rounding error of f's size, not of the increment's
-    return slopes * np.diff(cuts) * (0.5 * (u0 + u1))
+    return _cell_terms(values_of, f, np.array([y]))[1]
 
 
 def _as_pure_pl(f) -> PiecewiseLinear:
@@ -283,21 +287,19 @@ def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[n
     """Integral of f against the continuous part lin up to each y, its
     bound, and whether the bound is certified.
 
-    One grid of cells (_cells) cut at a, the ys, lin's knots and, when f has
-    an exact piecewise-linear form (f.pl_form()), its knots; one running sum
-    of the cell increments, read at each y. With an exact form each increment
-    is exactly (lin(x1) - lin(x0)) * (f(x0) + f(x1)) / 2; otherwise
-    _quadrature refines all sloped cells at once until the bound at ys[-1],
-    and so at every y, meets tol, or ToleranceNotReached carries the value
-    and bound there.
+    One running sum of cell increments, read at each y. When f has an
+    exact piecewise-linear form (f.pl_form()) they are its _cell_terms,
+    with bound 0: it leaves out a few ulps of rounding per cell, which no
+    constant added to lin changes. Otherwise _quadrature refines all sloped
+    cells of _cells at once until the bound at ys[-1], and so at every y,
+    meets tol, or ToleranceNotReached carries the value and bound there.
     """
     exact = f.pl_form()
-    cuts, slopes = _cells(lin, ys, *([] if exact is None else [exact.xs]))
-    at = np.searchsorted(cuts, ys)
     if exact is not None:
-        fv = exact.evaluate_array(cuts)
-        steps = np.diff(lin.evaluate_array(cuts)) * (0.5 * (fv[:-1] + fv[1:]))
-        return _running_sum(steps)[at], np.zeros(len(ys)), True
+        cuts, steps = _cell_terms(as_bv_function(exact), lin, ys)
+        return _running_sum(steps)[np.searchsorted(cuts, ys)], np.zeros(len(ys)), True
+    cuts, slopes = _cells(lin, ys)
+    at = np.searchsorted(cuts, ys)
     sloped = slopes != 0.0
     if not sloped.any():
         return np.zeros(len(ys)), np.zeros(len(ys)), True

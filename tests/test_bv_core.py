@@ -662,3 +662,15 @@ class TestBVFunction:
     def test_structural_points_sorted_unique(self):
         g = BVFunction(brick(0.5, 1.0), PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))))
         assert g.structural_points() == (0.0, 0.5, 1.0)
+
+
+
+@pytest.mark.parametrize("g", [brick(0.5, 1.0), PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))),
+                               BVFunction(brick(0.5, 1.0), PiecewiseLinear(((0.0, 1.0), (1.0, 2.0))))],
+                         ids=["step", "pl", "bv"])
+@pytest.mark.parametrize("points", [[0.2, math.nan], [math.nan], [math.nan, 0.2]])
+def test_evaluate_array_refuses_nan_as_evaluate_does(g, points):
+    with pytest.raises(DomainError):
+        g.evaluate(math.nan)
+    with pytest.raises(DomainError):
+        g.evaluate_array(np.array(points))
