@@ -360,30 +360,35 @@ class PiecewiseLinear:
 
     # -- structure ----------------------------------------------------------
 
-    def _refined(self, c: float | None, d: float | None) -> tuple[np.ndarray, np.ndarray]:
-        """c, the knots inside (c, d) and d (c alone when c == d), with the
-        values there; c and d default to the interval's ends."""
+    def _refined(self, c: float | None, d: float | None) -> np.ndarray:
+        """c, the knots inside (c, d) and d (c alone when c == d); c and d
+        default to the interval's ends."""
         c = self.interval.a if c is None else c
         d = self.interval.b if d is None else d
         self.interval.require_subinterval(c, d)
         xs = self.xs
-        pts = np.concatenate(([c], xs[(c < xs) & (xs < d)], [d] if d > c else []))
-        return pts, self.evaluate_array(pts)
+        return np.concatenate(([c], xs[(c < xs) & (xs < d)], [d] if d > c else []))
 
     def total_variation(self, c: float | None = None, d: float | None = None) -> float:
-        return float(_running_sum(np.abs(np.diff(self._refined(c, d)[1])))[-1])
+        """The sum of |slope| * length over the pieces of [c, d], in order: the
+        stored slopes, not differences of values there, whose rounding grows
+        with |f| and so moves when a constant is added to f."""
+        pts = self._refined(c, d)
+        slopes = self.slopes()[np.searchsorted(self.xs, pts[:-1], side="right") - 1]
+        return float(_running_sum(np.abs(slopes) * np.diff(pts))[-1])
 
     def integral(self, c: float, d: float) -> float:
         """Exact Riemann integral over [c, d] (trapezoids are exact here)."""
-        pts, vals = self._refined(c, d)
+        pts = self._refined(c, d)
+        vals = self.evaluate_array(pts)
         return float(_running_sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts))[-1])
 
     def min_value(self, c: float | None = None, d: float | None = None) -> float:
-        vals = self._refined(c, d)[1]
+        vals = self.evaluate_array(self._refined(c, d))
         return vals[vals.argmin()].item()  # the first of equal minima, as min() gives
 
     def max_value(self, c: float | None = None, d: float | None = None) -> float:
-        vals = self._refined(c, d)[1]
+        vals = self.evaluate_array(self._refined(c, d))
         return vals[vals.argmax()].item()
 
     # -- algebra ------------------------------------------------------------

@@ -13,7 +13,9 @@ IntegrandSpec and bv_core.PiecewiseLinear implement one integrand protocol,
 which is all the other layers ask of a continuous integrand: ``interval``,
 ``evaluate_array``, ``modulus_at(delta)``, ``heuristic``, ``pl_form()`` (an
 exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
-on [c, d]).
+on [c, d]). A certified (non-heuristic) modulus must be concave in delta:
+the midpoint quadrature in stieltjes charges a sub-cell of width h only
+h * omega(h/4), a bound that rests on that concavity.
 
 Evaluation: the parser rejects numbers that are not finite, and constant
 exponents that do not fold to a finite real number. An IntegrandSpec
@@ -468,7 +470,11 @@ class _Program:
 
 @dataclass(frozen=True)
 class Lipschitz:
-    """omega(delta) = constant * delta; certifies error bounds."""
+    """omega(delta) = constant * delta; certifies error bounds.
+
+    Concave in delta, as every certified modulus must be: the midpoint
+    quadrature's omega(spacing / 4) bound relies on it.
+    """
 
     constant: float
 
@@ -479,7 +485,11 @@ class Lipschitz:
 
 @dataclass(frozen=True)
 class Hoelder:
-    """omega(delta) = constant * delta**exponent, exponent in (0, 1]; certifies."""
+    """omega(delta) = constant * delta**exponent, exponent in (0, 1]; certifies.
+
+    The exponent is at most 1 so that omega is concave, which the midpoint
+    quadrature's omega(spacing / 4) bound relies on.
+    """
 
     constant: float
     exponent: float

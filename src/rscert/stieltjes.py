@@ -5,7 +5,10 @@ weights, one-sided at the interval ends). The piecewise-linear part is one
 running sum over a grid of cells cut at a, the upper limits and the knots,
 with one integrator slope per cell: exact for a piecewise-linear integrand,
 otherwise midpoint sums bounded through the integrand's declared modulus of
-continuity. rs_bv reads the sum at one y and curve at many; a definitional
+continuity omega: by sum |s| * len * omega(spacing / 4) for a certified
+(concave) modulus and by sum |s| * len * omega(spacing) for a Sampled one,
+with s the slope, len the length and spacing the midpoint spacing of each
+cell. rs_bv reads the sum at one y and curve at many; a definitional
 Riemann-Stieltjes sum is an independent cross-check oracle.
 """
 
@@ -113,18 +116,26 @@ def _cell_read(u: BVFunction, lin: PiecewiseLinear,
 def _quadrature(f, lo: np.ndarray, length: np.ndarray, slope: np.ndarray,
                 tol: float) -> tuple[list[float], np.ndarray]:
     """s * (midpoint sum of f) on each sloped cell [lo, lo + length], and the
-    terms |s| * length * omega_f(spacing) of its bound. Each cell gets
-    ceil(length / width) midpoints; width halves from the longest cell until
-    the bound, summed in cell order, meets tol, within the round and
-    evaluation caps."""
+    terms |s| * length * omega_f(spacing / 4) of its bound (omega_f(spacing)
+    for a heuristic f). Each cell gets ceil(length / width) midpoints; width
+    halves from the longest cell until the bound, summed in cell order,
+    meets tol, within the round and evaluation caps.
+
+    A sub-cell of width h misses its integral by at most the integral of
+    omega(|x - m|) over it, h times the mean of omega on [0, h/2], which is
+    at most h * omega(h/4) when omega is concave (Jensen); every certified
+    modulus is. A Sampled window oscillation is not concave, so it keeps
+    omega(h); a smaller argument would also reach its zero below the grid
+    spacing a round sooner."""
     weight = np.abs(slope) * length
+    divisor = 1.0 if f.heuristic else 4.0  # omega is asked at spacing / divisor
 
     def counts(width: float) -> np.ndarray:
         return np.maximum(1.0, np.ceil(length / width))
 
     def bound_terms(width: float) -> np.ndarray:
         # the modulus is asked once per distinct spacing
-        spacing = np.minimum(length / counts(width), f.interval.length)
+        spacing = np.minimum(length / counts(width), f.interval.length) / divisor
         spacings, at = np.unique(spacing, return_inverse=True)
         return weight * np.array([integrand_modulus(f, d) for d in spacings.tolist()])[at]
 
@@ -155,9 +166,10 @@ def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -
     to [a, y]. When f has an exact piecewise-linear form, _cell_terms with
     bound 0 (certified; it leaves out a few ulps of rounding per cell).
     Otherwise composite midpoint sums over the cells are refined until
-    sum_i |s_i| * len_i * omega_f(midpoint spacing) <= tol, within the round
-    and evaluation caps; failing that, ToleranceNotReached carries the best
-    achievable value and bound.
+    sum_i |s_i| * len_i * omega_f(spacing_i / 4) <= tol, with spacing_i the
+    midpoint spacing (omega_f(spacing_i) when f's modulus is the heuristic
+    Sampled one), within the round and evaluation caps; failing that,
+    ToleranceNotReached carries the best achievable value and bound.
     """
     _require_upper_limit(g.interval, y)
     if not tol > 0.0:

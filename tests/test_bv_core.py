@@ -260,6 +260,13 @@ class TestPiecewiseLinear:
         f = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 0.25)))
         assert f.total_variation(0.0, 1.0) == pytest.approx(1.75)
 
+    def test_variation_ignores_a_constant_shift(self):
+        # differences of values near 2^40 keep only a few fractional bits
+        for k in range(41):
+            s = 2.0**k
+            f = PiecewiseLinear(((0.0, s), (0.4, s + 1.0), (1.0, s + 0.25)))
+            assert f.total_variation(0.13, 0.73) == 1.0875, k
+
     def test_vee_shape_variation(self):
         f = PiecewiseLinear(((0.0, 0.5), (0.5, 0.0), (1.0, 0.5)))
         assert f.total_variation(0.0, 1.0) == pytest.approx(1.0)

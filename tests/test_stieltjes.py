@@ -75,7 +75,7 @@ def quadrature_reference(f, g, y, tol):
         for lo, hi, s in pieces:
             length = hi - lo
             n = max(1, math.ceil(length / width))
-            total += abs(s) * length * integrand_modulus(f, min(length / n, domain_len))
+            total += abs(s) * length * integrand_modulus(f, min(length / n, domain_len) / (1.0 if f.heuristic else 4.0))
         return total
 
     width = max(hi - lo for lo, hi, _ in pieces)
@@ -199,6 +199,64 @@ class TestPlCertified:
         r = rs_pl_certified(f, IDENTITY, 1.0, tol=1e-3)
         assert abs(r.value - 2.0 / 3.0) <= r.error_bound
         assert r.error_bound <= 1e-3
+
+
+class TestSharpMidpointBound:
+    """A midpoint sum on cells of width h is charged omega(h/4) per unit of
+    |s| * length for a certified (concave) modulus."""
+
+    def test_lipschitz_bound_is_attained(self):
+        # |x - 1/2| has midpoint sum 0 on one cell and integral 1/4 = omega(1/4):
+        # any smaller factor than 1/4 would understate the error
+        f = IntegrandSpec(parse("((x-0.5)^2)^0.5"), UNIT, Lipschitz(1.0))
+        r = rs_pl_certified(f, IDENTITY, 1.0, tol=0.25)
+        assert (r.value, r.error_bound, r.certified) == (0.0, 0.25, True)
+        assert abs(r.value - 0.25) <= r.error_bound
+
+    def test_hoelder_bound_covers_the_cusp(self):
+        f = IntegrandSpec(parse("((x-0.5)^2)^0.25"), UNIT, Hoelder(1.0, 0.5))
+        r = rs_pl_certified(f, IDENTITY, 1.0, tol=0.5)
+        exact = 4.0 / 3.0 * 0.5**1.5  # twice the integral of t^0.5 over [0, 1/2]
+        assert (r.value, r.error_bound) == (0.0, 0.5)
+        assert abs(r.value - exact) <= r.error_bound
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6])
+    def test_closed_form_integrals_against_random_integrators(self, tol):
+        rng = sampling.make_rng(1919)
+        met = 0
+        for i in range(8):
+            if i % 2:
+                interval = Interval(0.0, float(rng.uniform(0.5, 2.0)))
+                f = IntegrandSpec(parse("x^0.5"), interval, Hoelder(1.0, 0.5))
+
+                def antiderivative(x):
+                    return 2.0 / 3.0 * x**1.5
+            else:
+                interval = sampling.random_interval(rng)
+                a, w, p, c = (float(v) for v in rng.uniform([0.5, 1.0, 0.0, -1.0],
+                                                            [2.0, 5.0, 3.0, 1.0]))
+                top = max(abs(interval.a), abs(interval.b))
+                f = IntegrandSpec(parse(f"{a!r}*sin({w!r}*x+{p!r})+{c!r}*x^2"), interval,
+                                  Lipschitz(abs(a * w) + 2.0 * abs(c) * top))
+
+                def antiderivative(x, a=a, w=w, p=p, c=c):
+                    return -a / w * math.cos(w * x + p) + c * x**3 / 3.0
+            g = sampling.random_piecewise_linear(rng, interval)
+            y = sampling.random_upper_limit(rng, interval)
+            exact = math.fsum(s * (antiderivative(hi) - antiderivative(lo))
+                              for lo, hi, s in clipped_pieces_reference(g, interval.a, y))
+            try:
+                r = rs_pl_certified(f, g, y, tol)
+            except ToleranceNotReached as err:
+                # the best bound the evaluation budget allows still covers the error
+                assert err.error_bound > tol
+                assert abs(err.value - exact) <= err.error_bound + slack(exact)
+                continue
+            met += 1
+            assert r.certified
+            assert r.error_bound <= tol
+            assert abs(r.value - exact) <= r.error_bound + slack(exact)
+        assert met > 0
 
 
 class TestQuadratureKernel:
