@@ -210,8 +210,9 @@ def load_integrator(path: str) -> BVFunction:
 
 def integrand_from_text(text: str, interval: Interval) -> IntegrandSpec:
     """Parse --f text on the integrator's interval, with a heuristic Sampled
-    modulus. Affine expressions never consult it: the integration and the
-    witness search take their exact piecewise-linear form."""
+    modulus. Affine expressions that evaluate on the interval never consult
+    it: the integration and the witness search take their exact
+    piecewise-linear form."""
     return IntegrandSpec(parse(text), interval, Sampled(resolution=2**16, safety_factor=1.5))
 
 
@@ -225,15 +226,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header: str, rows, metadata: list[str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in metadata:
-                fh.write(f"# {line}\n")
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise SpecFileError(str(exc), path) from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in metadata:
+            fh.write(f"# {line}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,16 @@ on [c, d]). A certified (non-heuristic) modulus must be concave in delta:
 the midpoint quadrature in stieltjes charges a sub-cell of width h only
 h * omega(h/4), a bound that rests on that concavity.
 
-Evaluation: the parser rejects numbers that are not finite, and constant
-exponents that do not fold to a finite real number. An IntegrandSpec
-compiles its expression once, when it is built, into a flat program of
-numpy ufunc calls on a value stack; constants enter as Python floats and
-x as the input array, under one np.errstate. A point
-is invalid where some operation's value is inf or nan (or a power has a
+Folding: one walk, _fold, reads every subtree as c0 + c1*x, as not affine,
+or, free of x, as having no real value. The parser rejects numbers that are
+not finite and exponents that do not fold to a finite real constant; pl_form
+of an affine expression is its fold on the interval, present only where the
+compiled program evaluates at both ends, and so on the whole interval.
+
+Evaluation: an IntegrandSpec compiles its expression once, when it is
+built, into a flat program of numpy ufunc calls on a value stack; constants
+enter as Python floats and x as the input array, under one np.errstate. A
+point is invalid where some operation's value is inf or nan (or a power has a
 negative base and a non-integer exponent); the program tests finiteness
 only at the root, at divisors and at bases of powers with exponent <= 0,
 the only places a later operation can turn such a value finite again.
@@ -34,7 +38,6 @@ removable one; evaluate is evaluate_array at one point.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -156,40 +159,60 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-def _mentions_x(e: Expr) -> bool:
-    if isinstance(e, (Literal, Variable)):
-        return isinstance(e, Variable)
-    if isinstance(e, BinaryOp):
-        return _mentions_x(e.left) or _mentions_x(e.right)
-    if isinstance(e, Negate):
-        return _mentions_x(e.operand)
-    return _mentions_x(e.base if isinstance(e, Power) else e.arg)
-
-
-def _const_value(e: Expr) -> float | None:
-    """Fold a subtree to its value; None if it mentions x. A variable-free
-    subtree without a real value (a division by zero, a power that overflows
-    or has a negative base and a non-integer exponent) raises EvaluationError."""
-    if _mentions_x(e):
-        return None
+def _fold(e: Expr) -> tuple[float, float, bool] | str | None:
+    """One walk for the constant and affine subtrees: (c0, c1, mentions_x)
+    when e == c0 + c1*x; None when e mentions x and is not affine; and the
+    reason when e does not mention x and has no real value (a division by
+    zero, sin or cos of a value that is not finite, a power that overflows
+    or has a zero base and a negative exponent or a negative base and a
+    non-integer exponent). Mentioning x takes precedence over a reason; the
+    first reason in evaluation order is the one kept. A subtree that does
+    not mention x counts as constant whatever its c1 (0 * inf leaves nan)."""
     if isinstance(e, Literal):
-        return e.value
-    if isinstance(e, Negate):
-        return -_const_value(e.operand)
+        return (e.value, 0.0, False)
+    if isinstance(e, Variable):
+        return (0.0, 1.0, True)
     if isinstance(e, BinaryOp):
-        l, r = _const_value(e.left), _const_value(e.right)
-        if e.op == "/" and r == 0.0:
-            raise EvaluationError("division by zero")
-        return _FOLD[e.op](l, r)
+        left, right = _fold(e.left), _fold(e.right)
+        if not (isinstance(left, tuple) and isinstance(right, tuple)):
+            for part in (left, right):
+                if part is None or isinstance(part, tuple) and part[2]:
+                    return None
+            return left if isinstance(left, str) else right
+        (c0, c1, lx), (r0, r1, rx) = left, right
+        x = lx or rx
+        if e.op == "+":
+            return (c0 + r0, c1 + r1, x)
+        if e.op == "-":
+            return (c0 - r0, c1 - r1, x)
+        right_flat = r1 == 0.0 or not rx  # a constant factor or divisor
+        if e.op == "*":
+            if right_flat:
+                return (c0 * r0, c1 * r0, x)
+            return (c0 * r0, c0 * r1, x) if c1 == 0.0 or not lx else None
+        if not right_flat:
+            return None
+        if r0 == 0.0:
+            return None if x else "division by zero"
+        return (c0 / r0, c1 / r0, x)
+    inner = _fold(e.operand if isinstance(e, Negate) else e.base if isinstance(e, Power) else e.arg)
+    if not isinstance(inner, tuple):
+        return inner
+    c0, c1, x = inner
+    if isinstance(e, Negate):
+        return (-c0, -c1, x)
+    if isinstance(e, Power) and e.exponent in (0.0, 1.0):
+        return inner if e.exponent == 1.0 else (1.0, 0.0, x)
+    if c1 != 0.0 and x:
+        return None
     if isinstance(e, Power):
-        return _pow(_const_value(e.base), e.exponent)
-    v = _const_value(e.arg)
-    if not math.isfinite(v):
-        raise EvaluationError(f"{e.func}({v!r}) is not a real number")
-    return math.sin(v) if e.func == "sin" else math.cos(v)
+        try:
+            return (_pow(c0, e.exponent), 0.0, x)
+        except EvaluationError as exc:
+            return None if x else str(exc)
+    if not math.isfinite(c0):
+        return None if x else f"{e.func}({c0!r}) is not a real number"
+    return (math.sin(c0) if e.func == "sin" else math.cos(c0), 0.0, x)
 
 
 class _Parser:
@@ -252,12 +275,12 @@ class _Parser:
             self.advance()
             _, _, exp_pos = self.peek()
             exponent = self.factor()
-            try:
-                value = _const_value(exponent)
-            except EvaluationError as exc:
-                raise ParseError(f"power exponent cannot be evaluated: {exc}", exp_pos) from None
-            if value is None:
+            folded = _fold(exponent)
+            if isinstance(folded, str):
+                raise ParseError(f"power exponent cannot be evaluated: {folded}", exp_pos)
+            if folded is None or folded[2]:
                 raise ParseError("power exponent must be a constant", exp_pos)
+            value = folded[0]
             if not math.isfinite(value):
                 raise ParseError(f"power exponent {value!r} is not finite", exp_pos)
             return Power(base, float(value))
@@ -600,18 +623,27 @@ class IntegrandSpec:
         return _window_oscillation(self._grid_values, width) * m.safety_factor
 
     def pl_form(self) -> PiecewiseLinear | None:
-        """Exact piecewise-linear form of a syntactically affine expression,
-        else None (no bounded-variation guarantee downstream)."""
-        coeffs = _affine_coefficients(self.expr)
-        if coeffs is None:
+        """Exact piecewise-linear form of a syntactically affine expression
+        whose program evaluates on the whole interval, else None (no
+        bounded-variation guarantee downstream). An operation on constants
+        that is not finite makes every point invalid, and an affine subterm
+        peaks in magnitude at an end, so the two ends decide."""
+        folded = _fold(self.expr)
+        if not isinstance(folded, tuple):
             return None
-        c0, c1 = coeffs
+        c0, c1, _ = folded
         a, b = self.interval.a, self.interval.b
-        return PiecewiseLinear(((a, c0 + c1 * a), (b, c0 + c1 * b)))
+        ends = (c0 + c1 * a, c0 + c1 * b)
+        if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
+            return None
+        if self._program.run(np.array([a, b]))[1] is not None:
+            return None
+        return PiecewiseLinear(((a, ends[0]), (b, ends[1])))
 
     def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
-        """min/max samples on [c, d], padded by omega(mesh) into bounds that
-        are certified unless the modulus is heuristic."""
+        """min/max samples on [c, d], padded by omega(mesh/2) into bounds
+        that are certified unless the modulus is heuristic: every point of
+        [c, d] lies within mesh/2 of a sample."""
         self.interval.require_subinterval(c, d)
         if grid_size < 2:
             raise DomainError("grid_size must be at least 2")
@@ -619,7 +651,7 @@ class IntegrandSpec:
             v = self.evaluate(c)
             return RangeBounds(v, v, v, v, not self.heuristic)
         vals = self.evaluate_array(np.linspace(c, d, grid_size))
-        pad = self.modulus_at((d - c) / (grid_size - 1))  # the mesh, <= the length
+        pad = self.modulus_at((d - c) / (grid_size - 1) / 2.0)  # half the mesh
         lo, hi = float(vals.min()), float(vals.max())
         return RangeBounds(lo, hi, lo - pad, hi + pad, not self.heuristic)
 
@@ -654,53 +686,3 @@ def integrand_values(f, xs) -> np.ndarray:
 
 def integrand_modulus(f, delta: float) -> float:
     return f.modulus_at(delta)
-
-
-def _affine_coefficients(e: Expr) -> tuple[float, float] | None:
-    """(c0, c1) with e == c0 + c1*x, or None when e is not syntactically affine."""
-    if isinstance(e, Literal):
-        return (e.value, 0.0)
-    if isinstance(e, Variable):
-        return (0.0, 1.0)
-    if isinstance(e, Negate):
-        inner = _affine_coefficients(e.operand)
-        return None if inner is None else (-inner[0], -inner[1])
-    if isinstance(e, BinaryOp):
-        left = _affine_coefficients(e.left)
-        right = _affine_coefficients(e.right)
-        if left is None or right is None:
-            return None
-        if e.op == "+":
-            return (left[0] + right[0], left[1] + right[1])
-        if e.op == "-":
-            return (left[0] - right[0], left[1] - right[1])
-        if e.op == "*":
-            if right[1] == 0.0:
-                return (left[0] * right[0], left[1] * right[0])
-            if left[1] == 0.0:
-                return (left[0] * right[0], left[0] * right[1])
-            return None
-        if right[1] == 0.0 and right[0] != 0.0:
-            return (left[0] / right[0], left[1] / right[0])
-        return None
-    if isinstance(e, Power):
-        base = _affine_coefficients(e.base)
-        if base is None:
-            return None
-        if e.exponent == 1.0:
-            return base
-        if e.exponent == 0.0:
-            return (1.0, 0.0)
-        if base[1] == 0.0:
-            try:
-                return (_pow(base[0], e.exponent), 0.0)
-            except EvaluationError:
-                return None
-        return None
-    if isinstance(e, Call):
-        arg = _affine_coefficients(e.arg)
-        if arg is None or arg[1] != 0.0 or not math.isfinite(arg[0]):
-            return None
-        fn = math.sin if e.func == "sin" else math.cos
-        return (fn(arg[0]), 0.0)
-    return None

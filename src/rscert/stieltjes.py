@@ -172,8 +172,6 @@ def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -
     ToleranceNotReached carries the best achievable value and bound.
     """
     _require_upper_limit(g.interval, y)
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
     values, bounds, certified = _linear_part(f, g, np.asarray([y]), tol)
     return IntegralResult(float(values[0]), float(bounds[0]), certified)
 
@@ -201,7 +199,8 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
     """Definitional Riemann-Stieltjes sum on a uniform partition of [a, y].
 
     All jump points of g are added as partition points and tags are the
-    subinterval midpoints; the bound is omega_f(mesh) * V(g on [a, y]).
+    subinterval midpoints, each within mesh/2 of every point of its
+    subinterval; the bound is omega_f(mesh/2) * V(g on [a, y]).
     Used only as an independent cross-check of rs_bv.
     """
     g = as_bv_function(g)
@@ -216,7 +215,7 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
     f_vals = integrand_values(f, mids)
     value = float(f_vals @ np.diff(g_vals))
     actual_mesh = float(np.diff(cuts).max())
-    bound = integrand_modulus(f, min(actual_mesh, f.interval.length))
+    bound = integrand_modulus(f, actual_mesh / 2.0)  # actual_mesh <= y - a
     bound *= g.total_variation(a, y)
     return IntegralResult(value, bound, not f.heuristic)
 
@@ -305,7 +304,10 @@ def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[n
     constant added to lin changes. Otherwise _quadrature refines all sloped
     cells of _cells at once until the bound at ys[-1], and so at every y,
     meets tol, or ToleranceNotReached carries the value and bound there.
+    tol must be positive (NaN is not), on either path.
     """
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
     exact = f.pl_form()
     if exact is not None:
         cuts, steps = _cell_terms(as_bv_function(exact), lin, ys)

@@ -14,6 +14,7 @@ import pytest
 from rscert.bv_core import BVFunction, Interval
 from rscert.cli import (
     EXIT_EVAL,
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -210,6 +211,17 @@ class TestIntegrateCommand:
         path = write_doc(tmp_path, BRICK_DOC)
         # 1/(x - 0.5) blows up exactly at the brick's jump point
         assert main(["integrate", "--f", "1/(x-0.5)", "--g", path, "--y", "0.75"]) == EXIT_EVAL
+
+    @pytest.mark.parametrize("text, point", [
+        ("x/(1e308*10)", "0.0"), ("(x-1e308*10)^0", "0.0"), ("1e308*x*10", "0.179779052734375"),
+    ])
+    def test_affine_integrand_without_a_value_exits_3(self, tmp_path, capsys, text, point):
+        # affine, but its program has no value (a constant overflows, or x
+        # times one does): no exact form, so the quadrature names a point
+        doc = {"type": "piecewise_linear", "knots": [[0, 0], [0.3, 0.5], [0.6, 0.2], [1, 1]]}
+        path = write_doc(tmp_path, doc)
+        assert main(["integrate", "--f", text, "--g", path, "--y", "0.95"]) == EXIT_EVAL
+        assert f"expression undefined at x={point}\n" in capsys.readouterr().err
 
 
 class TestCounterexampleCommand:
@@ -426,6 +438,11 @@ class TestSearchPositiveCommand:
         assert "no_bv_coverage" in err
         assert "unbounded-variation" not in err
 
+    def test_affine_integrand_without_a_value_exits_6(self, tmp_path, capsys):
+        path = write_doc(tmp_path, BRICK_DOC)
+        assert main(["search-positive", "--f", "1e308*x*10", "--g", path]) == EXIT_PRECONDITION
+        assert "no_bv_coverage" in capsys.readouterr().err
+
     def test_constant_on_ramp_scans_the_edge_piece(self, tmp_path, capsys):
         path = write_doc(tmp_path, {"type": "piecewise_linear", "knots": [[0, 0], [1, 1]]})
         code = main(["search-positive", "--f", "2", "--g", path])
@@ -546,7 +563,7 @@ class TestNoNumpyScalarText:
              EXIT_OK),
             (counterexample + ["--n0", "1"], EXIT_PARSE),
             (["reproduce-figure", "--out", str(files[2])], EXIT_OK),
-            (["reproduce-figure", "--out", str(tmp_path / "missing" / "fig.csv")], EXIT_PARSE),
+            (["reproduce-figure", "--out", str(tmp_path / "missing" / "fig.csv")], EXIT_IO),
             (["selftest", "--seed", "5"], EXIT_OK),
         ]
         texts = []

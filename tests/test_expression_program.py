@@ -1,17 +1,20 @@
-"""The compiled expression program against the tree walk it replaced.
+"""The compiled expression program and the fold against the walks they replaced.
 
 _eval_array below is the recursive evaluator IntegrandSpec.evaluate_array
 used before expressions were compiled into a flat program; it stays here as
 the reference that the program must match value for value and mask for mask.
+_const_value and _affine_coefficients are the walks the parser and pl_form
+read before both read funcspec._fold; they stay as its references.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from rscert import funcspec
-from rscert.bv_core import Interval
+from rscert.bv_core import ConstructionError, Interval, PiecewiseLinear
 from rscert.funcspec import (
     BinaryOp,
     Call,
@@ -23,6 +26,8 @@ from rscert.funcspec import (
     Power,
     Sampled,
     X,
+    _fold,
+    _pow,
     _Program,
     parse,
 )
@@ -73,6 +78,89 @@ def _eval_array(e, xs):
             v = np.sin(av) if e.func == "sin" else np.cos(av)
         return v, abad | ~np.isfinite(v)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _mentions_x(e):
+    if isinstance(e, (Literal, type(X))):
+        return isinstance(e, type(X))
+    if isinstance(e, BinaryOp):
+        return _mentions_x(e.left) or _mentions_x(e.right)
+    if isinstance(e, Negate):
+        return _mentions_x(e.operand)
+    return _mentions_x(e.base if isinstance(e, Power) else e.arg)
+
+
+def _const_value(e):
+    """The value of a subtree, None if it mentions x; EvaluationError when a
+    subtree free of x has no real value."""
+    if _mentions_x(e):
+        return None
+    if isinstance(e, Literal):
+        return e.value
+    if isinstance(e, Negate):
+        return -_const_value(e.operand)
+    if isinstance(e, BinaryOp):
+        left, right = _const_value(e.left), _const_value(e.right)
+        if e.op == "/" and right == 0.0:
+            raise EvaluationError("division by zero")
+        return _OPERATORS[e.op](left, right)
+    if isinstance(e, Power):
+        return _pow(_const_value(e.base), e.exponent)
+    v = _const_value(e.arg)
+    if not math.isfinite(v):
+        raise EvaluationError(f"{e.func}({v!r}) is not a real number")
+    return math.sin(v) if e.func == "sin" else math.cos(v)
+
+
+def _affine_coefficients(e):
+    """(c0, c1) with e == c0 + c1*x, or None when e is not syntactically affine."""
+    if isinstance(e, Literal):
+        return (e.value, 0.0)
+    if isinstance(e, type(X)):
+        return (0.0, 1.0)
+    if isinstance(e, Negate):
+        inner = _affine_coefficients(e.operand)
+        return None if inner is None else (-inner[0], -inner[1])
+    if isinstance(e, BinaryOp):
+        left = _affine_coefficients(e.left)
+        right = _affine_coefficients(e.right)
+        if left is None or right is None:
+            return None
+        if e.op == "+":
+            return (left[0] + right[0], left[1] + right[1])
+        if e.op == "-":
+            return (left[0] - right[0], left[1] - right[1])
+        if e.op == "*":
+            if right[1] == 0.0:
+                return (left[0] * right[0], left[1] * right[0])
+            if left[1] == 0.0:
+                return (left[0] * right[0], left[0] * right[1])
+            return None
+        if right[1] == 0.0 and right[0] != 0.0:
+            return (left[0] / right[0], left[1] / right[0])
+        return None
+    if isinstance(e, Power):
+        base = _affine_coefficients(e.base)
+        if base is None:
+            return None
+        if e.exponent == 1.0:
+            return base
+        if e.exponent == 0.0:
+            return (1.0, 0.0)
+        if base[1] == 0.0:
+            try:
+                return (_pow(base[0], e.exponent), 0.0)
+            except EvaluationError:
+                return None
+        return None
+    arg = _affine_coefficients(e.arg)
+    if arg is None or arg[1] != 0.0 or not math.isfinite(arg[0]):
+        return None
+    fn = math.sin if e.func == "sin" else math.cos
+    return (fn(arg[0]), 0.0)
 
 
 def run_program(e, xs):
@@ -143,6 +231,64 @@ class TestAgainstTreeWalk:
     ])
     def test_non_finite_literals(self, e):
         assert_matches_reference(e, POINTS)
+
+
+def parser_reading(e):
+    """What the parser reads of an exponent subtree under the reference: the
+    repr of its value, the reason it has none, or None when it mentions x."""
+    try:
+        value = _const_value(e)
+    except EvaluationError as exc:
+        return ("reason", str(exc))
+    return None if value is None else ("value", repr(value))
+
+
+def reference_pl_form(e, interval):
+    """The form pl_form gave before the fold, or None where it gave none or
+    the tree walk finds a point at either end invalid."""
+    coeffs = _affine_coefficients(e)
+    if coeffs is None:
+        return None
+    c0, c1 = coeffs
+    a, b = interval.a, interval.b
+    try:
+        form = PiecewiseLinear(((a, c0 + c1 * a), (b, c0 + c1 * b)))
+    except ConstructionError:
+        return None
+    return None if _eval_array(e, np.asarray([a, b]))[1].any() else form
+
+
+class TestOneFold:
+    """The parser and pl_form read one fold; it agrees with the two walks it
+    replaced wherever the expression evaluates."""
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(20261019)
+        intervals = (Interval(-1.0, 1.0), Interval(0.5, 3.0))
+        seen = {"value": 0, "reason": 0, "x": 0, "form": 0, "dropped": 0}
+        for _ in range(4000):
+            e = random_tree(rng, int(rng.integers(0, 6)))
+            folded = _fold(e)
+            if isinstance(folded, str):
+                got = ("reason", folded)
+            elif folded is None or folded[2]:
+                got = None
+            else:
+                got = ("value", repr(folded[0]))
+            want = parser_reading(e)
+            assert got == want, e
+            seen[want[0] if want else "x"] += 1
+            for interval in intervals:
+                form = IntegrandSpec(e, interval, Lipschitz(1.0)).pl_form()
+                ref = reference_pl_form(e, interval)
+                if ref is None:
+                    assert form is None, e
+                    seen["dropped"] += _affine_coefficients(e) is not None
+                    continue
+                assert form is not None, e
+                assert form.knots.tobytes() == ref.knots.tobytes(), e
+                seen["form"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestOneEvaluator:

@@ -82,6 +82,7 @@ class TestParser:
         ("x^((0-8)^0.5)", "negative base -8.0 with non-integer exponent"),
         ("x^(2*(0^-1))", "zero base with negative exponent"),
         ("x^sin(10^300*10^300)", "sin(inf) is not a real number"),
+        ("x^(1/0+sin(10^300*10^300))", "division by zero"),  # the first reason
     ])
     def test_unfoldable_constant_exponent_is_reported(self, text, reason):
         with pytest.raises(ParseError) as err:
@@ -90,7 +91,7 @@ class TestParser:
         assert f"power exponent cannot be evaluated: {reason}" in str(err.value)
         assert err.value.position == 2
 
-    @pytest.mark.parametrize("text", ["x^x", "x^(1/0*x)", "x^(x+10^400)"])
+    @pytest.mark.parametrize("text", ["x^x", "x^(1/0*x)", "x^(x+10^400)", "x^(x-x)"])
     def test_exponent_mentioning_x_must_be_constant(self, text):
         with pytest.raises(ParseError, match="power exponent must be a constant"):
             parse(text)
@@ -100,6 +101,11 @@ class TestParser:
     ])
     def test_zero_right_operand_folds(self, text, exponent):
         assert parse(text) == Power(X, exponent)
+
+    def test_overflowing_constant_exponent_is_not_finite(self):
+        # 2 * inf leaves c1 = 0 * inf = nan; free of x, it is still a constant
+        with pytest.raises(ParseError, match=r"^power exponent inf is not finite \(at position 2\)$"):
+            parse("x^(2*(1e308*10))")
 
     def test_scientific_literals(self):
         assert parse("1.5e-3") == Literal(1.5e-3)
@@ -413,3 +419,9 @@ class TestIntegrandRange:
         assert bounds.lower <= 0.0 <= bounds.min_sample
         assert bounds.upper >= 1.0
         assert bounds.certified
+
+    def test_pad_is_omega_of_half_the_mesh(self):
+        # every point lies within mesh/2 = 0.05 of one of the 11 samples
+        bounds = spec_of("x", modulus=Lipschitz(1.0)).enclose(0.0, 1.0, 11)
+        assert (bounds.min_sample, bounds.max_sample) == (0.0, 1.0)
+        assert (bounds.lower, bounds.upper) == (-0.05, 1.0 + 0.05)

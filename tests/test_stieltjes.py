@@ -201,6 +201,20 @@ class TestPlCertified:
         assert r.error_bound <= 1e-3
 
 
+class TestTolerance:
+    """tol must be positive on every entry point and either path; NaN is not."""
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("f", [IntegrandSpec(parse("sin(x)"), UNIT, Lipschitz(1.0)), IDENTITY],
+                             ids=["quadrature", "exact"])
+    def test_rejected_on_a_sloped_integrator(self, f, tol):
+        g = BVFunction(StepFunction.brick(UNIT, 0.25, 0.5), IDENTITY)
+        for call in (lambda: rs_pl_certified(f, IDENTITY, 1.0, tol), lambda: rs_bv(f, g, 1.0, tol),
+                     lambda: curve(f, g, [0.5, 1.0], tol)):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                call()
+
+
 class TestSharpMidpointBound:
     """A midpoint sum on cells of width h is charged omega(h/4) per unit of
     |s| * length for a certified (concave) modulus."""
@@ -422,6 +436,13 @@ class TestOracle:
         for mesh in (0.1, 0.01, 0.001):
             r = rs_bruteforce_oracle(IDENTITY, g, 0.75, mesh)
             assert abs(r.value - 0.5) <= r.error_bound
+
+    def test_midpoint_tags_charge_half_the_mesh(self):
+        # one cell, tagged at 0.5 where |x - 0.5| is 0; the integral is 0.25
+        f = IntegrandSpec(parse("((x-0.5)^2)^0.5"), UNIT, Lipschitz(1.0))
+        r = rs_bruteforce_oracle(f, IDENTITY, 1.0, mesh=1.0)
+        assert (r.value, r.error_bound, r.certified) == (0.0, 0.5, True)
+        assert abs(r.value - 0.25) <= r.error_bound
 
     def test_agreement_with_exact_path(self):
         rng = sampling.make_rng(579)
