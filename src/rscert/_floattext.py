@@ -4,7 +4,8 @@ Each |x| is scaled by 10^(16-e10) as a Dekker double-double, giving a
 17-digit integer D and a residual r. The shortest p whose correctly rounded
 p digits lie within half an ulp of x are the digits repr prints (round-trip
 is monotone in p). They are laid out in repr's positional form (-4 < decpt
-<= 16) or exponent form by one gather from a table of layouts. Elements that
+<= 16) or exponent form by one gather from a table of layouts; zeros skip
+the digit search and take their fixed layout. Elements that
 cannot be decided with margin go to float.__repr__ itself: near-ties, powers
 of two (their gap below is half the gap above), carries to a power of ten,
 |decimal exponent| above 99, subnormals, NaN and infinities.
@@ -135,8 +136,14 @@ def float_texts(column: np.ndarray) -> list[str]:
     n = x.size
     if n > _CAP:
         return [t for s in range(0, n, _CAP) for t in float_texts(x[s:s + _CAP])]
-    D, e10, p, good = _shortest(x)
     zero = x == 0.0
+    if zero.any():  # a zero has no digits to search for: its layout is fixed
+        live = np.flatnonzero(~zero)
+        D, e10 = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        p, good = np.ones(n, np.int64), zero.copy()
+        D[live], e10[live], p[live], good[live] = _shortest(x[live])
+    else:  # gathering and scattering a column with no zero only costs time
+        D, e10, p, good = _shortest(x)
     e10 += _E10_MAX
     # the row of _LAYOUTS: (sign * 22 + form) * 17 + p - 1
     layout = _FORMS.take(np.where(zero, -1, e10)) + ((x.view(np.int64) >> 63) & 22 * 17) + p - 1
@@ -159,7 +166,7 @@ def float_texts(column: np.ndarray) -> list[str]:
         index = _LAYOUTS.take(layout[s:s + t], axis=0)
         index += base[:t]
         texts += chars.take(index).view(f"U{_W}").ravel().tolist()
-    for i in np.flatnonzero(~(good | zero)).tolist():
+    for i in np.flatnonzero(~good).tolist():
         text = float.__repr__(float(x[i]))
         texts[i] = _NONFINITE.get(text, text)
     return texts

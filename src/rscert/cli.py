@@ -12,10 +12,14 @@ step | piecewise_linear | sum | counterexample. Exit codes are stable:
 found, 5 I/O, 6 precondition.
 
 The counterexample files are the bytes of json.dump(doc, fh, indent=2),
-streamed from a non-empty flat object in which a list member whose first
-element is a float is a float column (see _write_json). Their float text,
+streamed from a non-empty flat object (see _write_json). The g file's
+breakpoints and piece_values reach the writer as the stored float64 arrays,
+and the certificate's records as the IndexRecords columns. Their float text,
 and that of the reproduce-figure CSV columns, comes a column at a time from
 _floattext.float_texts, which equals float.__repr__ and falls back to it.
+Each record row is assembled a column at a time: every field's texts are
+placed in one interleaved list with the key heads and row closers, which is
+joined once per piece.
 """
 
 from __future__ import annotations
@@ -179,12 +183,19 @@ def integrator_from_doc(doc, path: str = "$") -> BVFunction:
 
 def integrator_to_doc(g: BVFunction) -> dict:
     """Canonical JSON document: pure parts collapse to their own tag."""
+    return _integrator_doc(g, np.ndarray.tolist)
+
+
+def _integrator_doc(g: BVFunction, column) -> dict:
+    """integrator_to_doc with the step part's breakpoints and piece_values
+    as column(stored float64 array): lists for integrator_to_doc, the arrays
+    themselves for _write_json."""
     g = as_bv_function(g)
     step_doc = {
         "type": "step",
         "interval": [g.interval.a, g.interval.b],
-        "breakpoints": g.step.breakpoints.tolist(),
-        "piece_values": g.step.piece_values.tolist(),
+        "breakpoints": column(g.step.breakpoints),
+        "piece_values": column(g.step.piece_values),
         "end_value": g.step.end_value,
     }
     linear_doc = {"type": "piecewise_linear", "knots": g.linear.knots.tolist()}
@@ -242,45 +253,61 @@ _CHUNK = 8192  # column elements or records formatted per write
 
 
 def _texts(column) -> list[str]:
-    """What json.dumps writes for each element of a list of floats or of a
-    1-D numpy column of bools, integers or floats. Floats go through
-    float_texts in one call: it equals float.__repr__, falls back to it for
-    the elements it cannot decide, and spells non-finite values as json
-    does."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == bool:
-            return np.where(column, "true", "false").tolist()
-        if column.dtype.kind in "iu":
-            return list(map(int.__repr__, column.tolist()))
+    """What json.dumps writes for each element of a 1-D numpy column of
+    bools, integers or floats. Floats go through float_texts in one call: it
+    equals float.__repr__, falls back to it for the elements it cannot
+    decide, and spells non-finite values as json does."""
+    if column.dtype == bool:
+        return np.where(column, "true", "false").tolist()
+    if column.dtype.kind in "iu":
+        return list(map(int.__repr__, column.tolist()))
     return float_texts(column)
 
 
+def _rows(heads: list[str], columns) -> str:
+    """The text of one JSON object per row of the columns, heads[j] before
+    field j: each field's texts go into one interleaved list by slice
+    assignment, between the key heads and the row closers, and are joined
+    once."""
+    size, width = len(columns[0]), 2 * len(heads) + 1
+    pieces = ["\n    },\n    "] * (size * width)
+    for j, (head, column) in enumerate(zip(heads, columns)):
+        pieces[2 * j::width] = [head] * size
+        pieces[2 * j + 1::width] = _texts(column)
+    pieces[-1] = "\n    }"
+    return "".join(pieces)
+
+
 def _member_pieces(value):
-    """The text of one member value of a flat object, one level in: a float
-    column or the records in pieces of _CHUNK elements, anything else whole."""
+    """The text of one member value of a flat object, one level in: a 1-D
+    float64 column or the records in pieces of _CHUNK elements, anything
+    else whole."""
     if isinstance(value, IndexRecords):
         names = [field.name for field in fields(IndexRecords)]
         columns = [getattr(value, name) for name in names]
-        row = "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in names) + "\n    }"
-        size, chunk = len(value.n), lambda start, stop: [
-            row % texts for texts in zip(*(_texts(col[start:stop]) for col in columns))]
-    elif isinstance(value, list) and value and isinstance(value[0], float):
-        size, chunk = len(value), lambda start, stop: _texts(value[start:stop])
+        heads = [",\n      " + json.dumps(name) + ": " for name in names]
+        heads[0] = "{" + heads[0][1:]
+        size, chunk = len(value.n), lambda start, stop: _rows(
+            heads, [col[start:stop] for col in columns])
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
+        size, chunk = value.size, lambda start, stop: ",\n    ".join(
+            float_texts(value[start:stop]))
     else:
         yield json.dumps(value, indent=2).replace("\n", "\n  ")
         return
     sep = "[\n    "
     for start in range(0, size, _CHUNK):
-        yield sep + ",\n    ".join(chunk(start, start + _CHUNK))
+        yield sep + chunk(start, start + _CHUNK)
         sep = ",\n    "
     yield "\n  ]" if size else "[]"
 
 
 def _write_json(path: str, doc: dict) -> None:
-    """Write the bytes of json.dump(doc, fh, indent=2) and a newline. doc is
-    a non-empty flat object; a list member whose first element is a float is
-    a float column. Float columns and IndexRecords (one object per record)
-    stream in bounded pieces; every other member goes through json.dumps."""
+    """Write the bytes of json.dump(doc, fh, indent=2) and a newline, where
+    a 1-D float64 ndarray member is written as the list of its floats and
+    IndexRecords as one object per record. doc is a non-empty flat object.
+    Float columns and records stream in bounded pieces; every other member
+    goes through json.dumps."""
     with open(path, "w", encoding="utf-8") as fh:
         sep = "{\n  "
         for key, value in doc.items():
@@ -338,7 +365,7 @@ def cmd_counterexample(args) -> int:
         force_threshold=args.n0,
     )
     if args.out_g:
-        _write_json(args.out_g, integrator_to_doc(BVFunction.from_step(g)))
+        _write_json(args.out_g, _integrator_doc(BVFunction.from_step(g), np.asarray))
     if args.out_certificate:
         _write_json(args.out_certificate, _certificate_doc(cert, params, cert.records))
     print(f"threshold={params.threshold}")

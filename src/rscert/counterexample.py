@@ -318,15 +318,24 @@ def certified_threshold(f_sup: float, alpha: float, beta: float, gamma: float,
     Valid for every later index too: the ratio of the two sides is
     C * n^(gamma-1) * (1 + 2/n)^(beta+gamma-1), a product of factors that are
     non-increasing for n >= 1 (gamma < 1), so once below 1 it stays below.
+    That monotone inequality is bisected: doubling n from 1 until it holds
+    (or cap is reached), then halving the last gap.
     """
     if not f_sup > 0.0:
         raise DomainError("f_sup must be positive")
-    n = 1
-    while n <= cap:
-        if f_sup * float(n) ** (-beta) < tail_lower_bound(alpha, beta, gamma, n):
-            return n
-        n += 1
-    raise ThresholdNotFound(f"no certified threshold within 1..{cap}")
+
+    def holds(n: int) -> bool:
+        return f_sup * float(n) ** (-beta) < tail_lower_bound(alpha, beta, gamma, n)
+
+    lo, hi = 0, 1  # holds(lo) is false (or lo is 0); hi is the next index tried
+    while hi > cap or not holds(hi):
+        if hi >= cap:
+            raise ThresholdNotFound(f"no certified threshold within 1..{cap}")
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def _index_records(fam: OscillationFamily, beta: float, truncation: int,
@@ -421,8 +430,24 @@ def build_counterexample(
         chosen = threshold
     g = build_bricks(fam, beta, truncation, interval=f.interval, first=chosen)
     params = CounterexampleParams(beta=beta, truncation=truncation, threshold=chosen)
-    cert = _certify(f, g, fam, params, f_sup, records, remainder, report.ok)
+    cert = _certify(f, fam, params, f_sup, records, remainder, report.ok,
+                    _brick_steps(g, values, chosen))
     return g, params, cert
+
+
+def _brick_steps(g: StepFunction, values: tuple[np.ndarray, np.ndarray],
+                 first: int) -> tuple[np.ndarray, np.ndarray]:
+    """curve(f, g, [b])'s ys and values for the bricks g of build_bricks(...,
+    first), read off the _family_values instead of evaluating f again: the
+    jump points are trough(N), crest(N), ..., trough(first), crest(first),
+    each f value times its jump, summed in that order, then b."""
+    f_troughs, f_crests = values
+    b = g.interval.b
+    points, weights = g.jumps_in(g.interval.a, b).T
+    jumps = np.column_stack([f_troughs[first - 1:], f_crests[first - 1:]])[::-1].ravel() * weights
+    if points[-1] < b:  # b itself carries no jump: J keeps its last value there
+        points, jumps = np.append(points, b), np.append(jumps, 0.0)
+    return points, np.cumsum(jumps)
 
 
 def certify_negative(
@@ -444,19 +469,21 @@ def certify_negative(
     values = _family_values(f, fam, params.truncation)
     records, remainder = _index_records(fam, params.beta, params.truncation, values)
     family_ok = _check_family(f, fam, params.truncation, values)[0].ok
-    return _certify(f, g, fam, params, f_sup, records, remainder, family_ok)
-
-
-def _certify(f: IntegrandSpec, g: StepFunction, fam: OscillationFamily,
-             params: CounterexampleParams, f_sup: float | None,
-             records: IndexRecords, remainder: float,
-             family_ok: bool) -> Certificate:
-    """certify_negative on index records and a family check already computed."""
-    N = params.truncation
     j = curve(f, g, [g.interval.b])
-    corrected = j.values - remainder
+    return _certify(f, fam, params, f_sup, records, remainder, family_ok, (j.ys, j.values))
+
+
+def _certify(f: IntegrandSpec, fam: OscillationFamily,
+             params: CounterexampleParams, f_sup: float | None,
+             records: IndexRecords, remainder: float, family_ok: bool,
+             steps: tuple[np.ndarray, np.ndarray]) -> Certificate:
+    """certify_negative on index records, a family check and the step values
+    (ys, J(ys)) of the cumulative integral, all already computed."""
+    N = params.truncation
+    ys, values = steps
+    corrected = values - remainder
     failed = ~_negative(corrected)
-    failures = tuple(zip(j.ys[failed].tolist(), corrected[failed].tolist()))
+    failures = tuple(zip(ys[failed].tolist(), corrected[failed].tolist()))
 
     f_sup_eff = _resolve_f_sup(f, f_sup)
     analytic = None

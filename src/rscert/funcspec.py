@@ -45,7 +45,7 @@ from typing import Union
 
 import numpy as np
 
-from .bv_core import DomainError, Interval, PiecewiseLinear, RangeBounds
+from .bv_core import ConstructionError, DomainError, Interval, PiecewiseLinear, RangeBounds
 
 __all__ = [
     "ParseError",
@@ -554,9 +554,12 @@ ModulusDescriptor = Union[Lipschitz, Hoelder, Sampled]
 class IntegrandSpec:
     """A continuous integrand: expression, interval, optional removable fill, modulus.
 
-    The removable fill is declared, never detected: evaluation returns the
-    stored value when x matches the singular point exactly and the expression
-    is never consulted there.
+    The removable fill (point, value) stands for the expression where its
+    program is undefined: evaluation returns the value when x matches the
+    point exactly. Where the program is defined at the point, the fill must
+    equal its value there, or construction raises ConstructionError: a fill
+    that differs would make the integrand discontinuous. That the value is
+    the expression's limit at the point is declared, not checked.
     """
 
     expr: Expr
@@ -566,11 +569,16 @@ class IntegrandSpec:
     _program: _Program = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.removable_value_at is not None:
-            point, value = self.removable_value_at
-            self.interval.require(point, "removable-singularity point")
-            object.__setattr__(self, "removable_value_at", (float(point), float(value)))
         object.__setattr__(self, "_program", _Program(self.expr))
+        if self.removable_value_at is not None:
+            point, fill = map(float, self.removable_value_at)
+            self.interval.require(point, "removable-singularity point")
+            object.__setattr__(self, "removable_value_at", (point, fill))
+            at, bad = self._program.run(np.array([point]))
+            if bad is None and at[0] != fill:
+                raise ConstructionError(
+                    f"removable fill {fill!r} at x={point!r} contradicts the "
+                    f"expression's value {at[0].item()!r} there")
 
     def evaluate(self, x: float) -> float:
         self.interval.require(x)

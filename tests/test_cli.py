@@ -336,6 +336,24 @@ class TestJsonWriter:
         expected = json.dumps({"flat": flat, "records": rows}, indent=2)
         assert path.read_bytes() == (expected + "\n").encode()
 
+    @pytest.mark.parametrize("chunk", [8192, 1000])
+    def test_float_arrays_equal_json_dump_of_lists(self, tmp_path, monkeypatch, chunk):
+        from rscert import cli
+
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        column = rng.standard_normal(2500) * 10.0 ** rng.integers(-30, 30, 2500)
+        column[::2] = 0.0
+        column[1::5] = -0.0
+        column[3:6] = [np.nan, np.inf, -np.inf]
+        doc = {"type": "step", "interval": [0.0, 1.0], "breakpoints": np.linspace(0.1, 0.9, 3),
+               "piece_values": column, "empty": np.zeros(0), "one": np.array([2.5]),
+               "end_value": 0.0}
+        path = tmp_path / "arrays.json"
+        _write_json(str(path), doc)
+        as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+        assert path.read_bytes() == (json.dumps(as_lists, indent=2) + "\n").encode()
+
     def test_failing_certificate_equals_json_dump(self, tmp_path):
         f, fam = power_sine_family(0.5)
         g_bad = build_bricks(fam, 1.5, 200, interval=f.interval, first=5)  # brick 5 kept

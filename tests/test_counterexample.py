@@ -7,7 +7,7 @@ import pytest
 
 from rscert.bv_core import DomainError, Interval
 from rscert.funcspec import IntegrandSpec, Lipschitz, parse
-from rscert.stieltjes import rs_jump_exact
+from rscert.stieltjes import curve, rs_jump_exact
 from rscert.counterexample import (
     CounterexampleParams,
     IndexRecords,
@@ -22,7 +22,10 @@ from rscert.counterexample import (
     tail_lower_bound,
     validate_family,
     POWER_SINE_UPPER_BOUND,
+    _brick_steps,
     _empirical_threshold,
+    _family_values,
+    _index_records,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -406,6 +409,110 @@ class TestCertifiedThreshold:
         assert certified_threshold(6.0, fam.alpha, BETA, GAMMA) >= base
 
 
+def threshold_scan(f_sup, alpha, beta, gamma, cap):
+    """certified_threshold as a linear scan over n = 1..cap (None past cap)."""
+    for n in range(1, cap + 1):
+        if f_sup * float(n) ** (-beta) < tail_lower_bound(alpha, beta, gamma, n):
+            return n
+    return None
+
+
+# (gamma, beta) of the counterexample instances of the certify benchmark pool
+# for seeds 20240901 and 11, all at N = 4000
+POOL_PARAMETERS = [
+    (0.280956, 2.398857), (0.568448, 2.005169), (0.506539, 2.458713), (0.343738, 2.485402),
+    (0.588249, 1.706118), (0.590676, 2.27291), (0.570941, 1.251267), (0.204234, 2.37556),
+    (0.318223, 2.141811), (0.397452, 1.689787), (0.503282, 2.328204), (0.583505, 2.430328),
+    (0.441112, 2.262129), (0.381463, 2.087467), (0.48762, 2.123933), (0.354718, 1.978873),
+    (0.404975, 1.217015), (0.572395, 2.0939), (0.240337, 2.027873), (0.543348, 2.358775),
+]
+
+
+class TestThresholdBisection:
+    def test_equals_the_linear_scan_on_a_seeded_grid(self):
+        rng = np.random.default_rng(20240921)
+        found = missing = 0
+        for _ in range(200):
+            gamma, beta = float(rng.uniform(0.05, 0.95)), float(rng.uniform(1.05, 3.5))
+            f_sup, alpha = float(10 ** rng.uniform(-2.0, 1.5)), float(10 ** rng.uniform(-1.5, 0.5))
+            cap = int(rng.integers(1, 3000))
+            want = threshold_scan(f_sup, alpha, beta, gamma, cap)
+            if want is None:
+                missing += 1
+                with pytest.raises(ThresholdNotFound, match=f"1..{cap}"):
+                    certified_threshold(f_sup, alpha, beta, gamma, cap=cap)
+            else:
+                found += 1
+                assert certified_threshold(f_sup, alpha, beta, gamma, cap=cap) == want
+        assert found >= 40 and missing >= 40  # both outcomes are exercised
+
+    @pytest.mark.parametrize("gamma,beta", POOL_PARAMETERS)
+    def test_equals_the_linear_scan_on_the_pool(self, gamma, beta):
+        _, fam = power_sine_family(gamma)
+        want = threshold_scan(POWER_SINE_UPPER_BOUND, fam.alpha, beta, gamma, 10**6)
+        assert certified_threshold(POWER_SINE_UPPER_BOUND, fam.alpha, beta, gamma) == want
+
+    def test_no_threshold_within_the_default_cap(self):
+        _, fam = power_sine_family(0.95)
+        # the inequality first holds near n = 8e21
+        with pytest.raises(ThresholdNotFound, match=r"1\.\.1000000"):
+            certified_threshold(POWER_SINE_UPPER_BOUND, fam.alpha, 1.5, 0.95)
+
+    def test_a_cap_below_one_finds_nothing(self):
+        with pytest.raises(ThresholdNotFound):
+            certified_threshold(1e-9, 1.0, 1.5, 0.5, cap=0)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+class TestBrickSteps:
+    """build_counterexample reads the step values off the family values it
+    already holds; they equal curve(f, g, [b]) bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_curve_bit_for_bit(self, seed):
+        rng = np.random.default_rng([seed, 21])
+        gamma, beta = float(rng.uniform(0.2, 0.8)), float(rng.uniform(1.2, 2.6))
+        truncation = int(rng.integers(100, 6000))
+        f, fam = power_sine_family(gamma)
+        values = _family_values(f, fam, truncation)
+        empirical = _empirical_threshold(_index_records(fam, beta, truncation, values)[0])
+        low = empirical or 1
+        forced = int(rng.integers(low + 1, truncation + 1)) if low < truncation else low
+        for first in (low, forced):
+            g = build_bricks(fam, beta, truncation, interval=f.interval, first=first)
+            ys, steps = _brick_steps(g, values, first)
+            j = curve(f, g, [g.interval.b])
+            assert same_bits(ys, j.ys) and same_bits(steps, j.values)
+
+    @pytest.mark.parametrize("forced", [None, 40])
+    def test_certificate_equals_certify_negative(self, family, forced):
+        f, fam = family
+        g, params, cert = build_counterexample(f, fam, BETA, N, f_sup=POWER_SINE_UPPER_BOUND,
+                                               force_threshold=forced)
+        again = certify_negative(f, g, fam, params, f_sup=POWER_SINE_UPPER_BOUND)
+        assert params.threshold == (forced or cert.empirical_threshold)
+        assert cert.step_failures == again.step_failures
+        assert cert.verdict == again.verdict
+
+    def test_crest_on_the_interval_end(self):
+        # crest(1) = b: the breakpoint there folds away, and its jump is read at b
+        count = 60
+        n = np.arange(count + 1)
+        troughs = np.append(0.0, 1.0 / (2.0 * n[1:]))
+        crests = np.append(0.0, 1.0 / (2.0 * n[1:] - 1.0))
+        fam = table_family(troughs, crests)
+        f = IntegrandSpec(parse("x^2+2"), UNIT, Lipschitz(2.0))
+        values = _family_values(f, fam, count)
+        g = build_bricks(fam, BETA, count, interval=UNIT, first=1)
+        assert g.breakpoints[-1] < UNIT.b
+        ys, steps = _brick_steps(g, values, 1)
+        j = curve(f, g, [UNIT.b])
+        assert same_bits(ys, j.ys) and same_bits(steps, j.values)
+
+
 class TestBuildCounterexample:
     def test_thresholds_and_verdict(self, built):
         g, params, cert = built
@@ -540,6 +647,16 @@ class TestIntegrandReads:
         _, _, cert = build_counterexample(f, fam, BETA, N, f_sup=POWER_SINE_UPPER_BOUND)
         assert reads == [N, N]  # the crests, then the troughs
         assert cert.verdict
+
+    def test_build_counterexample_sweeps_no_curve(self, family, monkeypatch):
+        from rscert import counterexample
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("curve evaluates f again")
+
+        monkeypatch.setattr(counterexample, "curve", refuse)
+        f, fam = family
+        assert build_counterexample(f, fam, BETA, N, f_sup=POWER_SINE_UPPER_BOUND)[2].verdict
 
     def test_certify_negative(self, family, built, reads):
         f, fam = family

@@ -57,6 +57,19 @@ def test_short_columns_and_lists(values):
     assert float_texts(values) == float_texts(np.array(values)) == reference(values)
 
 
+@pytest.mark.parametrize("size", [1, 7, 8192, 20001])
+def test_half_zeros_skip_the_digit_search(size):
+    # a brick integrator's piece_values: every other element is a zero,
+    # here of either sign, among values that need the digit search
+    rng = np.random.default_rng(size)
+    values = rng.uniform(-2.0, 2.0, size) * 10.0 ** rng.integers(-8, 8, size)
+    values[::2] = rng.choice([0.0, -0.0], values[::2].size)
+    # and some that fall back on float.__repr__
+    values[1::7] = np.resize([np.nan, 2.0**-60, 5e-324], values[1::7].size)
+    assert float_texts(values) == reference(values)
+    assert float_texts(values[::2]) == reference(values[::2])  # zeros alone
+
+
 @pytest.mark.parametrize("gamma,beta", [(0.5, 1.5), (0.4, 1.8), (0.2, 1.2), (0.6, 2.5)])
 def test_under_one_percent_falls_back_on_a_counterexample(gamma, beta):
     f, fam = power_sine_family(gamma)

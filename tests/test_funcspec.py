@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rscert.bv_core import DomainError, Interval, PiecewiseLinear
+from rscert.bv_core import ConstructionError, DomainError, Interval, PiecewiseLinear
 from rscert.funcspec import (
     BinaryOp,
     Call,
@@ -239,6 +239,29 @@ class TestEvaluation:
     def test_removable_point_must_be_inside_domain(self):
         with pytest.raises(DomainError):
             spec_of("x", removable=(2.0, 0.0))
+
+    def test_fill_contradicting_the_expression_is_rejected(self):
+        # x+1 is 1.5 at 0.5: a fill of -5 there would make f jump, and the
+        # witness search once certified a positive integral that rs_bv read as -5
+        with pytest.raises(ConstructionError, match="contradicts"):
+            IntegrandSpec(parse("x+1"), UNIT, Lipschitz(1.0), (0.5, -5.0))
+        with pytest.raises(ConstructionError):
+            spec_of("x^2+1", removable=(0.0, 1.0 + 2.0**-52))
+
+    @pytest.mark.parametrize("text,fill", [
+        ("x^2+1", (0.5, 1.25)),  # the fill equals the expression's value
+        ("2", (0.25, 2.0)),
+        ("x-0.5", (0.5, -0.0)),  # -0.0 == 0.0
+        ("1/x", (0.0, 7.0)),  # the expression is undefined there
+        ("x^0.5*sin(1/x)+2", (0.0, 2.0)),
+    ])
+    def test_fill_where_consistent_or_undefined_constructs(self, text, fill):
+        spec = spec_of(text, removable=fill)
+        assert spec.evaluate(fill[0]) == fill[1]
+
+    def test_power_sine_fill_constructs(self):
+        f, _ = power_sine_family(0.3)
+        assert f.removable_value_at == (0.0, 2.0)
 
 
 class TestModulus:
