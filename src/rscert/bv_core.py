@@ -10,13 +10,15 @@ jump extraction, total variation and the Jordan split into non-decreasing
 parts are all read off the representation exactly; the only sampled (inexact)
 operation is ``sampled_total_variation``, a lower-bound diagnostic. As an
 integrand, PiecewiseLinear implements the protocol described in funcspec,
-with an exact modulus and exact extremes (RangeBounds).
+with an exact modulus, exact extremes (RangeBounds) and exact cell integrals
+(BVFunction.cell_integrals, on the cell grid _cell_read that positivity's
+measure integrals also read). Every function's scalar evaluate is its
+evaluate_array at one point (_PointRead).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -112,8 +114,17 @@ class RangeBounds:
     certified: bool
 
 
+class _PointRead:
+    """evaluate(x): the interval check that names x, then evaluate_array at
+    that one point, so a function has one evaluation path."""
+
+    def evaluate(self, x: float) -> float:
+        self.interval.require(x)
+        return self.evaluate_array(np.array([x], dtype=float))[0].item()
+
+
 @dataclass(frozen=True, eq=False)
-class StepFunction:
+class StepFunction(_PointRead):
     """Right-continuous pure-jump function on [a, b].
 
     Equals piece_values[0] on [a, p_1), piece_values[i] on [p_i, p_{i+1}),
@@ -195,12 +206,6 @@ class StepFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, x: float) -> float:
-        self.interval.require(x)
-        if x == self.interval.b:
-            return self.end_value
-        return self.piece_values[bisect_right(self.breakpoints, x)].item()
-
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.size and not (xs.min() >= self.interval.a and xs.max() <= self.interval.b):
@@ -211,12 +216,12 @@ class StepFunction:
     def left_limit(self, x: float) -> float:
         if not (self.interval.a < x <= self.interval.b):
             raise DomainError(f"left limit needs x in ({self.interval.a}, {self.interval.b}]")
-        return self.piece_values[bisect_left(self.breakpoints, x)].item()
+        return self.piece_values[np.searchsorted(self.breakpoints, x, side="left")].item()
 
     def right_limit(self, x: float) -> float:
         if not (self.interval.a <= x < self.interval.b):
             raise DomainError(f"right limit needs x in [{self.interval.a}, {self.interval.b})")
-        return self.piece_values[bisect_right(self.breakpoints, x)].item()
+        return self.piece_values[np.searchsorted(self.breakpoints, x, side="right")].item()
 
     # -- structure ----------------------------------------------------------
 
@@ -280,7 +285,7 @@ class StepFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseLinear:
+class PiecewiseLinear(_PointRead):
     """Continuous piecewise-linear interpolant through strictly increasing knots.
 
     The first knot is at the interval's left endpoint and the last at the
@@ -330,16 +335,9 @@ class PiecewiseLinear:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, x: float) -> float:
-        self.interval.require(x)
-        i = min(max(bisect_right(self.xs, x), 1), len(self.xs) - 1) - 1
-        (x0, x1), (y0, y1) = self.xs[i : i + 2].tolist(), self.ys[i : i + 2].tolist()
-        if x == x1:
-            return y1
-        return float(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
-
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
-        """evaluate at every point, with the same arithmetic: equal bit for bit."""
+        """y0 + (y1 - y0) * (x - x0) / (x1 - x0) on the piece [x0, x1] that
+        holds x, the last one whose start is at most x, and y1 at x1."""
         xs = np.asarray(xs, dtype=float)
         if xs.size and not (xs.min() >= self.interval.a and xs.max() <= self.interval.b):
             raise DomainError("points outside the function's interval")
@@ -421,6 +419,10 @@ class PiecewiseLinear:
     def pl_form(self) -> "PiecewiseLinear":
         return self
 
+    def cell_integrals(self, lin: "PiecewiseLinear", ys: np.ndarray, tol: float):
+        """The exact cell integrals against lin (BVFunction.cell_integrals)."""
+        return BVFunction.from_linear(self).cell_integrals(lin, ys, tol)
+
     def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
         """Exact extremes on [c, d]; grid_size is not consulted."""
         lo, hi = self.min_value(c, d), self.max_value(c, d)
@@ -428,7 +430,7 @@ class PiecewiseLinear:
 
 
 @dataclass(frozen=True)
-class BVFunction:
+class BVFunction(_PointRead):
     """Sum of a step part and a piecewise-linear part on a shared interval.
 
     This is the universal bounded-variation representation used throughout:
@@ -458,9 +460,6 @@ class BVFunction:
     @property
     def interval(self) -> Interval:
         return self.step.interval
-
-    def evaluate(self, x: float) -> float:
-        return self.step.evaluate(x) + self.linear.evaluate(x)
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         return self.step.evaluate_array(xs) + self.linear.evaluate_array(xs)
@@ -505,6 +504,19 @@ class BVFunction:
             col.flags.writeable = False
         return StructuralProfile(pts, left, right)
 
+    def cell_integrals(self, lin: PiecewiseLinear, ys: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """The integrand protocol's cell read (see funcspec): the cuts of
+        _cell_read(self, lin, ys), the integral of self dlin on each cell,
+        bound terms 0 and True (certified; it leaves out a few ulps of
+        rounding per cell). Both are affine on a cell, so its integral is
+        s * (x1 - x0) * (u(x0+) + u(x1-)) / 2 with s lin's slope, not
+        (lin(x1) - lin(x0)) * ..., whose rounding grows with |lin| and so
+        moves when a constant is added to lin. tol is not consulted."""
+        cuts, slopes, u0, u1 = _cell_read(self, lin, ys)
+        steps = slopes * np.diff(cuts) * (0.5 * (u0 + u1))
+        return cuts, steps, np.zeros(len(steps)), True
+
     def __add__(self, other: "BVFunction") -> "BVFunction":
         return BVFunction(self.step + other.step, self.linear + other.linear)
 
@@ -534,6 +546,24 @@ def as_bv_function(g) -> BVFunction:
     if isinstance(g, PiecewiseLinear):
         return BVFunction.from_linear(g)
     raise TypeError(f"not a bounded-variation representation: {type(g).__name__}")
+
+
+def _cells(lin: PiecewiseLinear, ys: np.ndarray, *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct cuts a, ys, lin's knots and any extra points, from
+    a up to ys[-1], and lin's slope on each cell between consecutive cuts."""
+    cuts = _sorted_union([lin.interval.a], ys, lin.xs, *extra)
+    cuts = cuts[(cuts >= lin.interval.a) & (cuts <= ys[-1])]
+    return cuts, lin.slopes()[np.searchsorted(lin.xs, cuts[:-1], side="right") - 1]
+
+
+def _cell_read(u: BVFunction, lin: PiecewiseLinear,
+               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of _cells(lin, ys) also cut at u's structural points, so u
+    and lin are both affine on each: the cuts, lin's slope on each cell, and
+    u(x0+) and u(x1-) at its ends."""
+    cuts, slopes = _cells(lin, ys, u.profile.points)
+    left, right = u.one_sided(cuts)
+    return cuts, slopes, right[:-1], left[1:]
 
 
 @dataclass(frozen=True)

@@ -222,8 +222,11 @@ def load_integrator(path: str) -> BVFunction:
 def integrand_from_text(text: str, interval: Interval) -> IntegrandSpec:
     """Parse --f text on the integrator's interval, with a heuristic Sampled
     modulus. Affine expressions that evaluate on the interval never consult
-    it: the integration and the witness search take their exact
-    piecewise-linear form."""
+    it: they answer for their cells exactly, through their piecewise-linear
+    form (IntegrandSpec.cell_integrals), which also admits them to the
+    witness search. Any other expression answers with funcspec's midpoint
+    quadrature, whose bound the Sampled modulus leaves uncertified, and the
+    witness search refuses it (no_bv_coverage)."""
     return IntegrandSpec(parse(text), interval, Sampled(resolution=2**16, safety_factor=1.5))
 
 

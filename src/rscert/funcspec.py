@@ -9,13 +9,19 @@ integration error bounds downstream. Lipschitz and Hoelder moduli certify;
 a Sampled modulus is an empirical estimate and is flagged heuristic wherever
 it contributes.
 
-IntegrandSpec and bv_core.PiecewiseLinear implement one integrand protocol,
-which is all the other layers ask of a continuous integrand: ``interval``,
-``evaluate_array``, ``modulus_at(delta)``, ``heuristic``, ``pl_form()`` (an
-exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
-on [c, d]). A certified (non-heuristic) modulus must be concave in delta:
-the midpoint quadrature in stieltjes charges a sub-cell of width h only
-h * omega(h/4), a bound that rests on that concavity.
+IntegrandSpec and bv_core.PiecewiseLinear (and BVFunction, for the cell
+read) implement one integrand protocol, which is all the other layers ask of
+a continuous integrand: ``interval``, ``evaluate_array`` (the point values,
+and the one read at jumps), ``cell_integrals(lin, ys, tol)`` (the cuts of
+the cells of [a, ys[-1]] against a piecewise-linear integrator lin, the
+integral on each cell, the terms of its bound, and whether they are
+certified), and, for the witness gate, the counterexample's sup bound and
+the brute-force oracle, ``modulus_at(delta)``, ``heuristic``, ``pl_form()``
+(an exact piecewise-linear form, or None) and ``enclose(c, d)`` (a
+RangeBounds on [c, d]). An IntegrandSpec answers cell_integrals exactly
+through its affine form, and otherwise with _quadrature, the certified
+midpoint quadrature, which charges a sub-cell of width h only
+h * omega(h/4): a certified (non-heuristic) modulus must be concave in delta.
 
 Folding: one walk, _fold, reads every subtree as c0 + c1*x, as not affine,
 or, free of x, as having no real value. The parser rejects numbers that are
@@ -45,7 +51,8 @@ from typing import Union
 
 import numpy as np
 
-from .bv_core import ConstructionError, DomainError, Interval, PiecewiseLinear, RangeBounds
+from .bv_core import (ConstructionError, DomainError, Interval, PiecewiseLinear, RangeBounds,
+                      _PointRead, _cells, _running_sum)
 
 __all__ = [
     "ParseError",
@@ -551,7 +558,7 @@ ModulusDescriptor = Union[Lipschitz, Hoelder, Sampled]
 
 
 @dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(_PointRead):
     """A continuous integrand: expression, interval, optional removable fill, modulus.
 
     The removable fill (point, value) stands for the expression where its
@@ -579,10 +586,6 @@ class IntegrandSpec:
                 raise ConstructionError(
                     f"removable fill {fill!r} at x={point!r} contradicts the "
                     f"expression's value {at[0].item()!r} there")
-
-    def evaluate(self, x: float) -> float:
-        self.interval.require(x)
-        return float(self.evaluate_array(np.array([x], dtype=float))[0])
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -648,6 +651,13 @@ class IntegrandSpec:
             return None
         return PiecewiseLinear(((a, ends[0]), (b, ends[1])))
 
+    def cell_integrals(self, lin: PiecewiseLinear, ys: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """The protocol's cell read: the affine form's exact answer, or else
+        _quadrature's."""
+        exact = self.pl_form()
+        return _quadrature(self, lin, ys, tol) if exact is None else exact.cell_integrals(lin, ys, tol)
+
     def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
         """min/max samples on [c, d], padded by omega(mesh/2) into bounds
         that are certified unless the modulus is heuristic: every point of
@@ -687,10 +697,69 @@ def _window_oscillation(values: np.ndarray, width: int) -> float:
 
 # perfbench/tracing.py wraps these two by name, for its per-layer spans
 # funcspec.integrand_values and funcspec.integrand_modulus; keep them, and
-# keep stieltjes calling them rather than the methods.
+# keep stieltjes and _quadrature calling them rather than the methods.
 def integrand_values(f, xs) -> np.ndarray:
     return np.asarray(f.evaluate_array(np.asarray(xs, dtype=float)), dtype=float)
 
 
 def integrand_modulus(f, delta: float) -> float:
     return f.modulus_at(delta)
+
+
+EVALUATION_BUDGET = 2**21  # midpoint evaluations per certified integration call
+
+
+def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """cell_integrals by midpoint sums, on the cells of bv_core._cells(lin,
+    ys): s * (midpoint sum of f) on each sloped cell [x0, x0 + len], and the
+    terms |s| * len * omega_f(spacing / 4) of its bound (omega_f(spacing) for
+    a Sampled modulus, and then not certified); flat cells get 0 and 0. Each
+    sloped cell gets ceil(len / width) midpoints; width halves from the
+    longest cell until the bound, summed in cell order, meets tol, or until
+    the midpoints would exceed EVALUATION_BUDGET (after k halvings the
+    longest cell alone gets exactly 2^k).
+
+    A sub-cell of width h misses its integral by at most the integral of
+    omega(|x - m|) over it, h times the mean of omega on [0, h/2], which is
+    at most h * omega(h/4) when omega is concave (Jensen); every certified
+    modulus is. A Sampled window oscillation is not concave, so it keeps
+    omega(h); a smaller argument would also reach its zero below the grid
+    spacing a round sooner."""
+    cuts, slopes = _cells(lin, ys)
+    steps, terms = np.zeros(len(slopes)), np.zeros(len(slopes))
+    sloped = slopes != 0.0
+    if not sloped.any():
+        return cuts, steps, terms, True
+    lo, length, slope = cuts[:-1][sloped], np.diff(cuts)[sloped], slopes[sloped]
+    sampled = isinstance(f.modulus, Sampled)
+
+    def counts(width: float) -> np.ndarray:
+        return np.maximum(1.0, np.ceil(length / width))
+
+    def bound_terms(width: float) -> np.ndarray:
+        # omega is asked at spacing / 4 (spacing when Sampled), once per distinct spacing
+        spacing = np.minimum(length / counts(width), f.interval.length) / (1.0 if sampled else 4.0)
+        spacings, at = np.unique(spacing, return_inverse=True)
+        omega = np.array([integrand_modulus(f, d) for d in spacings.tolist()])
+        return np.abs(slope) * length * omega[at]
+
+    width = float(length.max())
+    best_width, best_terms = width, bound_terms(width)
+    best_bound = _running_sum(best_terms)[-1]
+    while best_bound > tol:
+        width /= 2.0
+        if counts(width).sum() > EVALUATION_BUDGET:
+            break
+        candidate = bound_terms(width)
+        bound = _running_sum(candidate)[-1]
+        if bound < best_bound:
+            best_width, best_terms, best_bound = width, candidate, bound
+
+    sums = []
+    for x, h, s, n in zip(lo.tolist(), length.tolist(), slope.tolist(),
+                          counts(best_width).astype(int).tolist()):
+        mids = x + (np.arange(n) + 0.5) * (h / n)
+        sums.append(s * (h / n) * float(integrand_values(f, mids).sum()))
+    steps[sloped], terms[sloped] = sums, best_terms
+    return cuts, steps, terms, not sampled

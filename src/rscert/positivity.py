@@ -10,7 +10,7 @@ The measure-theoretic side is a per-instance verifier: the |integral of
 g df| bound, the variation measure of a piecewise-linear f reweighted by
 1/f (WeightedMeasure), and a discrete Groenwall checker that exhibits, on
 concrete data, why "never positive" would force the integrator to vanish.
-All three integrate over one cell grid (stieltjes._cell_read), cut at a,
+All three integrate over one cell grid (bv_core._cell_read), cut at a,
 the structural points of the integrated function, the knots of f and the
 upper limit, on whose cells both functions are affine: each cell gets a
 closed-form term, and one sum of those terms is read at every upper limit.
@@ -29,13 +29,14 @@ from .bv_core import (
     Interval,
     PiecewiseLinear,
     StepFunction,
+    _cell_read,
     _running_sum,
     _sorted_union,
     as_bv_function,
     jordan_decompose,
     slack,
 )
-from .stieltjes import IntegralCurve, _cell_read, _pl_integrator_terms, curve
+from .stieltjes import IntegralCurve, _pl_integrator_terms, curve
 
 __all__ = [
     "PreconditionError",
@@ -353,10 +354,11 @@ def find_positive_y(f, g) -> PositivityWitness:
 
     g has finitely many pieces and vanishes up to its support edge, so the
     integral turns positive in the piece that holds the edge: g either jumps
-    up there or rises linearly against a positive f. One exact curve is read
-    at the structural points from the edge on, plus SEGMENT_SAMPLES inner
-    points of that piece when g is sloped; the witness is the first point
-    whose value clears slack ("scan", the bound is that value). When that
+    up there or rises linearly against a positive f. One exact curve of f
+    itself (f read at g's jumps, its cells exact) is read at the structural
+    points from the edge on, plus SEGMENT_SAMPLES inner points of that piece
+    when g is sloped; the witness is the first point whose value clears
+    slack ("scan", the bound is that value). When that
     point is the first place where g moves at all, and it has only moved up,
     the witness is "case2" with bound pos(y) * (min of f on [a, y]), pos(y)
     being the jump there plus the rise before it. No point clearing slack
@@ -367,29 +369,30 @@ def find_positive_y(f, g) -> PositivityWitness:
     if f.interval != g.interval:
         raise PreconditionError("integrand and integrator must share one interval")
 
-    if abs(g.evaluate(a)) > slack(g.evaluate(a)):
+    prof = g.profile
+    start = prof.right[0]  # g(a)
+    if abs(start) > slack(start):
         raise PreconditionError("the integrator must start at 0", reason="start")
     if not _structurally_nonnegative(g):
         raise PreconditionError("the integrator must be non-negative", reason="sign")
     edge = support_edge(g)
     if edge is None:
         raise PreconditionError("the integrator vanishes identically", reason="vanishing")
-    # the integrand's exact piecewise-linear form, so every value and bound
-    # downstream is exact
-    f_work = _exact_form(f)
-    if not f_work.min_value() > 0.0:
+    # the integrand's exact piecewise-linear form gates the search and gives
+    # f's minimum; the curve reads f itself
+    f_pl = _exact_form(f)
+    if not f_pl.min_value() > 0.0:
         raise PreconditionError(
             "the integrand's positivity is not certified", reason="positivity"
         )
 
-    prof = g.profile
     pts = prof.points
     ys = pts[1:][pts[1:] >= edge]
     k = int(np.searchsorted(pts, edge, side="right")) - 1  # the piece holding the edge
     if not g.linear.is_constant() and k + 1 < len(pts):
         inner = np.linspace(pts[k], pts[k + 1], SEGMENT_SAMPLES + 2)[1:-1]
         ys = _sorted_union(ys, inner[inner > edge])
-    j = curve(f_work, g, ys)
+    j = curve(f, g, ys)
     # exact values (the curve's bounds are 0 here); slack is elementwise on one array
     hits = np.flatnonzero(np.isin(j.ys, ys, assume_unique=True) & (j.values > slack(j.values)))
     if not hits.size:
@@ -401,13 +404,12 @@ def find_positive_y(f, g) -> PositivityWitness:
     y, lower = float(j.ys[hits[0]]), float(j.values[hits[0]])
     witness = PositivityWitness(y, lower, "scan")
 
-    start = prof.right[0]
     moved = np.flatnonzero((prof.left[1:] != start) | (prof.right[1:] != start)) + 1
     m = int(moved[0])  # J(y) > 0, so g has moved by y
     if y == pts[m]:
         jump, rise = prof.right[m] - prof.left[m], prof.left[m] - start
         if jump >= 0.0 and rise >= 0.0:  # only up so far: pos(y) = jump + rise
-            bound = float(jump + rise) * f_work.min_value(a, y)
+            bound = float(jump + rise) * f_pl.min_value(a, y)
             if bound > slack(bound):
                 witness = PositivityWitness(y, bound, "case2")
     # right-continuous integrator: the integral stays positive on a whole
@@ -433,8 +435,8 @@ def positive_interval(f, g, witness: PositivityWitness) -> Interval:
     """A closed interval [c, d] on which the integral stays positive.
 
     c is the witness point. The integrand must be piecewise linear or affine
-    (its exact piecewise-linear form is used), and the function takes no
-    configuration. For a pure-jump (right-continuous) integrator the
+    (it is read through the exact curve of f itself), and the function takes
+    no configuration. For a pure-jump (right-continuous) integrator the
     cumulative integral is constant between jumps, so d extends to the
     midpoint of the last constant stretch that stays above half the witness
     bound (reaching b itself when no later jump drags it down). For sloped
@@ -442,7 +444,8 @@ def positive_interval(f, g, witness: PositivityWitness) -> Interval:
     whole approach stays above the threshold.
     """
     g = as_bv_function(g)
-    j = curve(_exact_form(f), g, g.profile.points[1:])
+    _exact_form(f)  # the no_bv_coverage gate
+    j = curve(f, g, g.profile.points[1:])
     return _positive_stretch(g, j, witness)
 
 

@@ -2,13 +2,12 @@
 
 The step part of an integrator is handled exactly (integrand values times jump
 weights, one-sided at the interval ends). The piecewise-linear part is one
-running sum over a grid of cells cut at a, the upper limits and the knots,
-with one integrator slope per cell: exact for a piecewise-linear integrand,
-otherwise midpoint sums bounded through the integrand's declared modulus of
-continuity omega: by sum |s| * len * omega(spacing / 4) for a certified
-(concave) modulus and by sum |s| * len * omega(spacing) for a Sampled one,
-with s the slope, len the length and spacing the midpoint spacing of each
-cell. rs_bv reads the sum at one y and curve at many; a definitional
+running sum over a grid of cells up to the upper limits, with one integrator
+slope per cell; the integrand picks the cells and answers for each
+(cell_integrals, the integrand protocol of funcspec): exactly for a
+piecewise-linear or affine integrand, otherwise by the certified midpoint
+quadrature that now lives in funcspec, beside the moduli its bound reads.
+rs_bv reads the sum at one y and curve at many; a definitional
 Riemann-Stieltjes sum is an independent cross-check oracle.
 """
 
@@ -44,8 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-REFINEMENT_ROUNDS = 40
-EVALUATION_BUDGET = 2**21  # midpoint evaluations per certified integration call
 
 
 @dataclass(frozen=True)
@@ -95,81 +92,14 @@ def rs_jump_exact(f, g: StepFunction | BVFunction, y: float) -> IntegralResult:
     return IntegralResult(float(values @ weights), 0.0, True)
 
 
-def _cells(lin: PiecewiseLinear, ys: np.ndarray, *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct cuts a, ys, lin's knots and any extra points, from
-    a up to ys[-1], and lin's slope on each cell between consecutive cuts."""
-    cuts = _sorted_union([lin.interval.a], ys, lin.xs, *extra)
-    cuts = cuts[(cuts >= lin.interval.a) & (cuts <= ys[-1])]
-    return cuts, lin.slopes()[np.searchsorted(lin.xs, cuts[:-1], side="right") - 1]
-
-
-def _cell_read(u: BVFunction, lin: PiecewiseLinear,
-               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The cells of _cells(lin, ys) also cut at u's structural points, so u
-    and lin are both affine on each: the cuts, lin's slope on each cell, and
-    u(x0+) and u(x1-) at its ends."""
-    cuts, slopes = _cells(lin, ys, u.profile.points)
-    left, right = u.one_sided(cuts)
-    return cuts, slopes, right[:-1], left[1:]
-
-
-def _quadrature(f, lo: np.ndarray, length: np.ndarray, slope: np.ndarray,
-                tol: float) -> tuple[list[float], np.ndarray]:
-    """s * (midpoint sum of f) on each sloped cell [lo, lo + length], and the
-    terms |s| * length * omega_f(spacing / 4) of its bound (omega_f(spacing)
-    for a heuristic f). Each cell gets ceil(length / width) midpoints; width
-    halves from the longest cell until the bound, summed in cell order,
-    meets tol, within the round and evaluation caps.
-
-    A sub-cell of width h misses its integral by at most the integral of
-    omega(|x - m|) over it, h times the mean of omega on [0, h/2], which is
-    at most h * omega(h/4) when omega is concave (Jensen); every certified
-    modulus is. A Sampled window oscillation is not concave, so it keeps
-    omega(h); a smaller argument would also reach its zero below the grid
-    spacing a round sooner."""
-    weight = np.abs(slope) * length
-    divisor = 1.0 if f.heuristic else 4.0  # omega is asked at spacing / divisor
-
-    def counts(width: float) -> np.ndarray:
-        return np.maximum(1.0, np.ceil(length / width))
-
-    def bound_terms(width: float) -> np.ndarray:
-        # the modulus is asked once per distinct spacing
-        spacing = np.minimum(length / counts(width), f.interval.length) / divisor
-        spacings, at = np.unique(spacing, return_inverse=True)
-        return weight * np.array([integrand_modulus(f, d) for d in spacings.tolist()])[at]
-
-    width = float(length.max())
-    best_width, best_terms = width, bound_terms(width)
-    best_bound = _running_sum(best_terms)[-1]
-    for _ in range(REFINEMENT_ROUNDS):
-        width /= 2.0
-        if best_bound <= tol or counts(width).sum() > EVALUATION_BUDGET:
-            break
-        terms = bound_terms(width)
-        bound = _running_sum(terms)[-1]
-        if bound < best_bound:
-            best_width, best_terms, best_bound = width, terms, bound
-
-    steps = []
-    for x, h, s, n in zip(lo.tolist(), length.tolist(), slope.tolist(),
-                          counts(best_width).astype(int).tolist()):
-        mids = x + (np.arange(n) + 0.5) * (h / n)
-        steps.append(s * (h / n) * float(integrand_values(f, mids).sum()))
-    return steps, best_terms
-
-
 def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -> IntegralResult:
     """Integral of f against a piecewise-linear integrator, with a bound.
 
-    The cumulative kernel read at y, whose cells are g's slope pieces clipped
-    to [a, y]. When f has an exact piecewise-linear form, _cell_terms with
-    bound 0 (certified; it leaves out a few ulps of rounding per cell).
-    Otherwise composite midpoint sums over the cells are refined until
-    sum_i |s_i| * len_i * omega_f(spacing_i / 4) <= tol, with spacing_i the
-    midpoint spacing (omega_f(spacing_i) when f's modulus is the heuristic
-    Sampled one), within the round and evaluation caps; failing that,
-    ToleranceNotReached carries the best achievable value and bound.
+    The cumulative kernel (_linear_part) read at y: f's cell integrals
+    against g on [a, y], exact with bound 0 for a piecewise-linear or affine
+    f, otherwise funcspec's certified quadrature refined until its bound
+    meets tol, within the evaluation cap; failing that, ToleranceNotReached
+    carries the best achievable value and bound.
     """
     _require_upper_limit(g.interval, y)
     values, bounds, certified = _linear_part(f, g, np.asarray([y]), tol)
@@ -220,28 +150,20 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
     return IntegralResult(value, bound, not f.heuristic)
 
 
-def _cell_terms(u: BVFunction, lin: PiecewiseLinear, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cuts of _cell_read(u, lin, ys) and the integral of u dlin on each
-    cell, where both are affine: s * (x1 - x0) * (u(x0+) + u(x1-)) / 2 with
-    s lin's slope, not (lin(x1) - lin(x0)) * ..., whose rounding grows with
-    |lin| and so moves when a constant is added to lin."""
-    cuts, slopes, u0, u1 = _cell_read(u, lin, ys)
-    return cuts, slopes * np.diff(cuts) * (0.5 * (u0 + u1))
-
-
 def rs_pl_integrator_exact(values_of, f: PiecewiseLinear, y: float) -> IntegralResult:
     """Integral of a BV-representable integrand against a PL integrator:
-    the terms of _cell_terms summed with math.fsum, with bound 0."""
+    its exact cell integrals summed with math.fsum, with bound 0."""
     return IntegralResult(math.fsum(_pl_integrator_terms(values_of, f, y).tolist()), 0.0, True)
 
 
 def _pl_integrator_terms(values_of, f: PiecewiseLinear, y: float) -> np.ndarray:
-    """The integral of values_of df over each cell of [a, y] (_cell_terms)."""
+    """The integral of values_of df over each cell of [a, y]
+    (BVFunction.cell_integrals)."""
     values_of = as_bv_function(values_of)
     _require_upper_limit(f.interval, y)
     if values_of.interval != f.interval:
         raise DomainError("integrand and integrator must share one interval")
-    return _cell_terms(values_of, f, np.array([y]))[1]
+    return values_of.cell_integrals(f, np.array([y]), DEFAULT_TOL)[1]
 
 
 def _as_pure_pl(f) -> PiecewiseLinear:
@@ -298,33 +220,21 @@ def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[n
     """Integral of f against the continuous part lin up to each y, its
     bound, and whether the bound is certified.
 
-    One running sum of cell increments, read at each y. When f has an
-    exact piecewise-linear form (f.pl_form()) they are its _cell_terms,
-    with bound 0: it leaves out a few ulps of rounding per cell, which no
-    constant added to lin changes. Otherwise _quadrature refines all sloped
-    cells of _cells at once until the bound at ys[-1], and so at every y,
-    meets tol, or ToleranceNotReached carries the value and bound there.
-    tol must be positive (NaN is not), on either path.
+    f answers for its own cells (f.cell_integrals, the integrand protocol of
+    funcspec): exact ones with bound 0, or certified quadrature whose bound
+    at ys[-1], and so at every y, meets tol. One running sum of each column
+    is read at each y; a bound above tol raises ToleranceNotReached, which
+    carries the value and bound there. tol must be positive (NaN is not).
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    exact = f.pl_form()
-    if exact is not None:
-        cuts, steps = _cell_terms(as_bv_function(exact), lin, ys)
-        return _running_sum(steps)[np.searchsorted(cuts, ys)], np.zeros(len(ys)), True
-    cuts, slopes = _cells(lin, ys)
+    cuts, steps, terms, certified = f.cell_integrals(lin, ys, tol)
     at = np.searchsorted(cuts, ys)
-    sloped = slopes != 0.0
-    if not sloped.any():
-        return np.zeros(len(ys)), np.zeros(len(ys)), True
-    steps, terms = np.zeros(len(slopes)), np.zeros(len(slopes))
-    steps[sloped], terms[sloped] = _quadrature(f, cuts[:-1][sloped], np.diff(cuts)[sloped],
-                                               slopes[sloped], tol)
     values, bounds = _running_sum(steps)[at], _running_sum(terms)[at]
     if bounds[-1] > tol:
         raise ToleranceNotReached(f"tolerance {tol} unreachable within the refinement cap; best "
                                   f"bound {bounds[-1].item()}", values[-1].item(), bounds[-1].item())
-    return values, bounds, not f.heuristic
+    return values, bounds, certified
 
 
 def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
@@ -332,8 +242,8 @@ def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
 
     The jump contributions accumulate in one cumulative sum, and the linear
     part is read from one grid of cells cut at the output points and the
-    knots (_linear_part): exact for a piecewise-linear f, otherwise a
-    certified quadrature whose bound, non-decreasing in y, meets tol at every
+    knots (_linear_part): exact for a piecewise-linear or affine f, otherwise
+    a certified quadrature whose bound, non-decreasing in y, meets tol at every
     output point. The cost is linear in the number of jumps, output points
     and knots (up to one sort), times the midpoints per cell.
     """

@@ -342,12 +342,15 @@ def _protocol_integrands():
 class TestIntegrandProtocol:
     # (heuristic, has an exact piecewise-linear form) per integrand above
     EXPECTED = [(False, True), (False, True), (False, False), (True, False)]
+    # the integral of each over [0, 0.7] (power_sine: None, not checked)
+    INTEGRALS = [1.5, 0.035, 0.343 / 3.0 + 0.7, None]
 
     @pytest.mark.parametrize("index", range(4), ids=["pl", "affine", "quadratic", "power_sine"])
     def test_members(self, index):
         f = _protocol_integrands()[index]
         heuristic, exact = self.EXPECTED[index]
-        for name in ("interval", "evaluate_array", "modulus_at", "heuristic", "pl_form", "enclose"):
+        for name in ("interval", "evaluate_array", "cell_integrals", "modulus_at", "heuristic",
+                     "pl_form", "enclose"):
             assert hasattr(f, name), name
         assert f.interval == UNIT
         assert f.heuristic is heuristic
@@ -358,6 +361,16 @@ class TestIntegrandProtocol:
         if exact:
             pl = f.pl_form()
             assert bounds.lower <= pl.min_value(0.2, 0.7) <= pl.max_value(0.2, 0.7) <= bounds.upper
+        # against the identity, the cell integrals are integrals of f dx
+        cuts, steps, terms, certified = f.cell_integrals(
+            PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))), np.array([0.7]), 1e-6)
+        assert cuts[0] == 0.0 and cuts[-1] == 0.7
+        assert len(steps) == len(terms) == len(cuts) - 1
+        assert certified is not heuristic
+        if exact:
+            assert not terms.any()
+        if self.INTEGRALS[index] is not None:
+            assert abs(steps.sum() - self.INTEGRALS[index]) <= terms.sum() + 1e-12
 
 
 class TestCheckPositive:

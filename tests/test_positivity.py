@@ -30,7 +30,7 @@ from rscert.positivity import (
     positive_interval,
     support_edge,
 )
-from rscert import sampling
+from rscert import sampling, stieltjes
 
 UNIT = Interval(0.0, 1.0)
 
@@ -432,6 +432,30 @@ class TestFindPositiveY:
         g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
         w = find_positive_y(f, g)
         assert w.lower_bound == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("text, fill, lower", [
+        ("x+0.75", (0.5, 1.25), 0.75),  # a fill that agrees with the program
+        ("2", None, 2.0),
+    ])
+    def test_f_read_at_jumps_through_the_callers_spec(self, monkeypatch, text, fill, lower):
+        reads = []
+        original = stieltjes.integrand_values
+
+        def spy(f, xs):
+            reads.append((f, np.asarray(xs, dtype=float).copy()))
+            return original(f, xs)
+
+        monkeypatch.setattr(stieltjes, "integrand_values", spy)
+        f = IntegrandSpec(parse(text), UNIT, Sampled(256, 1.5), fill)
+        g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
+        w = find_positive_y(f, g)
+        assert (w.y, w.lower_bound, w.method) == (0.5, lower, "case2")
+        iv = positive_interval(f, g, w)
+        assert (iv.a, iv.b) == (w.interval.a, w.interval.b) == (0.5, 0.75)
+        assert len(reads) == 2  # one curve in each call
+        for reader, xs in reads:
+            assert reader is f and not isinstance(reader, PiecewiseLinear)
+            assert 0.5 in xs
 
     def test_property_run_with_oracle(self):
         rng = sampling.make_rng(848)
