@@ -11,9 +11,9 @@ parts are all read off the representation exactly; the only sampled (inexact)
 operation is ``sampled_total_variation``, a lower-bound diagnostic. As an
 integrand, PiecewiseLinear implements the protocol described in funcspec,
 with an exact modulus, exact extremes (RangeBounds) and exact cell integrals
-(BVFunction.cell_integrals, on the cell grid _cell_read that positivity's
-measure integrals also read). Every function's scalar evaluate is its
-evaluate_array at one point (_PointRead).
+(_exact_cells, the one cell formula it shares with BVFunction.cell_integrals,
+whose cell grid _cell_read positivity's measure integrals also read). Every
+function's scalar evaluate is its evaluate_array at one point (_PointRead).
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ class ConstructionError(ValueError):
     """A representation's invariants are violated at construction time."""
 
 
-def slack(*magnitudes: float, scale: float = 1e-9) -> float:
+def slack(*magnitudes: float) -> float:
     """Numeric comparison tolerance scaled to the quantities involved.
 
-    All "exact" claims in this package are asserted up to scale*(1+magnitude);
+    All "exact" claims in this package are asserted up to 1e-9*(1+magnitude);
     the constructions certified here have analytic margins that dwarf this.
     """
     biggest = max((abs(m) for m in magnitudes), default=0.0)
-    return scale * (1.0 + biggest)
+    return 1e-9 * (1.0 + biggest)
 
 
 def _check_finite(name: str, *values: float) -> None:
@@ -254,17 +254,6 @@ class StepFunction(_PointRead):
         d = self.interval.b if d is None else d
         return float(_running_sum(np.abs(self.jumps_in(c, d)[:, 1]))[-1])
 
-    def integral(self, c: float, d: float) -> float:
-        """The plain Riemann integral of the step values over [c, d]."""
-        self.interval.require_subinterval(c, d)
-        if c == d:
-            return 0.0
-        # cells cut at the breakpoints in (c, d), weighted by their right limits
-        bp = self.breakpoints
-        lo, hi = np.searchsorted(bp, c, side="right"), np.searchsorted(bp, d, side="left")
-        cuts = np.concatenate(([c], bp[lo:hi], [d]))
-        return float(_running_sum(self.piece_values[lo : hi + 1] * np.diff(cuts))[-1])
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
@@ -375,12 +364,6 @@ class PiecewiseLinear(_PointRead):
         slopes = self.slopes()[np.searchsorted(self.xs, pts[:-1], side="right") - 1]
         return float(_running_sum(np.abs(slopes) * np.diff(pts))[-1])
 
-    def integral(self, c: float, d: float) -> float:
-        """Exact Riemann integral over [c, d] (trapezoids are exact here)."""
-        pts = self._refined(c, d)
-        vals = self.evaluate_array(pts)
-        return float(_running_sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts))[-1])
-
     def min_value(self, c: float | None = None, d: float | None = None) -> float:
         vals = self.evaluate_array(self._refined(c, d))
         return vals[vals.argmin()].item()  # the first of equal minima, as min() gives
@@ -420,8 +403,12 @@ class PiecewiseLinear(_PointRead):
         return self
 
     def cell_integrals(self, lin: "PiecewiseLinear", ys: np.ndarray, tol: float):
-        """The exact cell integrals against lin (BVFunction.cell_integrals)."""
-        return BVFunction.from_linear(self).cell_integrals(lin, ys, tol)
+        """The exact cell integrals against lin (_exact_cells) on the cells
+        of _cells(lin, ys) also cut at the knots, read off the values at the
+        cuts: the function is continuous. tol is not consulted."""
+        cuts, slopes = _cells(lin, ys, self.xs)
+        u = self.evaluate_array(cuts)
+        return _exact_cells(cuts, slopes, u[:-1], u[1:])
 
     def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
         """Exact extremes on [c, d]; grid_size is not consulted."""
@@ -473,9 +460,6 @@ class BVFunction(_PointRead):
     def jumps_in(self, c: float, d: float) -> np.ndarray:
         return self.step.jumps_in(c, d)
 
-    def integral(self, c: float, d: float) -> float:
-        return self.step.integral(c, d) + self.linear.integral(c, d)
-
     def total_variation(self, c: float | None = None, d: float | None = None) -> float:
         return self.step.total_variation(c, d) + self.linear.total_variation(c, d)
 
@@ -506,16 +490,10 @@ class BVFunction(_PointRead):
 
     def cell_integrals(self, lin: PiecewiseLinear, ys: np.ndarray,
                        tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """The integrand protocol's cell read (see funcspec): the cuts of
-        _cell_read(self, lin, ys), the integral of self dlin on each cell,
-        bound terms 0 and True (certified; it leaves out a few ulps of
-        rounding per cell). Both are affine on a cell, so its integral is
-        s * (x1 - x0) * (u(x0+) + u(x1-)) / 2 with s lin's slope, not
-        (lin(x1) - lin(x0)) * ..., whose rounding grows with |lin| and so
-        moves when a constant is added to lin. tol is not consulted."""
-        cuts, slopes, u0, u1 = _cell_read(self, lin, ys)
-        steps = slopes * np.diff(cuts) * (0.5 * (u0 + u1))
-        return cuts, steps, np.zeros(len(steps)), True
+        """The integrand protocol's cell read (see funcspec): the exact cell
+        integrals (_exact_cells) on the cells of _cell_read(self, lin, ys).
+        tol is not consulted."""
+        return _exact_cells(*_cell_read(self, lin, ys))
 
     def __add__(self, other: "BVFunction") -> "BVFunction":
         return BVFunction(self.step + other.step, self.linear + other.linear)
@@ -564,6 +542,19 @@ def _cell_read(u: BVFunction, lin: PiecewiseLinear,
     cuts, slopes = _cells(lin, ys, u.profile.points)
     left, right = u.one_sided(cuts)
     return cuts, slopes, right[:-1], left[1:]
+
+
+def _exact_cells(cuts: np.ndarray, slopes: np.ndarray, u0: np.ndarray,
+                 u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """cell_integrals of an integrand u that, like lin, is affine on every
+    cell between the cuts, from u(x0+) and u(x1-) at the cells' ends: the
+    cuts, the integral of u dlin on each cell, bound terms 0 and True
+    (certified; it leaves out a few ulps of rounding per cell). That
+    integral is s * (x1 - x0) * (u(x0+) + u(x1-)) / 2 with s lin's slope,
+    not (lin(x1) - lin(x0)) * ..., whose rounding grows with |lin| and so
+    moves when a constant is added to lin."""
+    steps = slopes * np.diff(cuts) * (0.5 * (u0 + u1))
+    return cuts, steps, np.zeros(len(steps)), True
 
 
 @dataclass(frozen=True)

@@ -509,7 +509,7 @@ def _selftest_ibp(rng) -> tuple[int, int]:
         g = sampling.random_bv(rng, interval)
         y = sampling.random_upper_limit(rng, interval)
         residual = integration_by_parts_residual(f, g, y)
-        scale = slack(f.max_value(), g.total_variation(), scale=1e-9)
+        scale = slack(f.max_value(), g.total_variation())
         good += residual <= scale
     return good, total
 

@@ -112,7 +112,8 @@ class Certificate:
     [trough(truncation), b], corrected by the dropped-tail bound, is
     strictly negative, the oscillation hypothesis held wherever it was
     checked, and the analytic threshold argument covers the indices beyond
-    the truncation horizon.
+    the truncation horizon. f_upper_bound is the caller's f_sup, the upper
+    bound for f that the analytic threshold rests on.
     """
 
     records: IndexRecords
@@ -120,7 +121,7 @@ class Certificate:
     certified_threshold: int | None
     remainder_bound: float
     truncation: int
-    f_upper_bound: float | None
+    f_upper_bound: float
     family_ok: bool
     analytic_ok: bool
     truncation_note: str
@@ -182,7 +183,7 @@ def _family_points(fam: OscillationFamily, ns: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _negative(values: np.ndarray) -> np.ndarray:
-    """Elementwise values < -slack(values, scale=SIGN_SLACK_SCALE)."""
+    """Elementwise values < -1e-12 * (1 + |values|) (SIGN_SLACK_SCALE)."""
     return values < -SIGN_SLACK_SCALE * (1.0 + np.abs(values))
 
 
@@ -369,14 +370,6 @@ def _empirical_threshold(records: IndexRecords) -> int | None:
     return int(bad[-1]) + 2
 
 
-def _resolve_f_sup(f: IntegrandSpec, f_sup: float | None) -> float | None:
-    if f_sup is not None:
-        return float(f_sup)
-    if f.heuristic:
-        return None
-    return f.enclose(f.interval.a, f.interval.b, 4097).upper
-
-
 _TRUNCATION_NOTE = (
     "Bricks beyond index {N} are not stored: on [trough({N}), b] their exact "
     "contribution is a constant drop of at least {rem!r} (the analytic tail "
@@ -394,7 +387,7 @@ def build_counterexample(
     fam: OscillationFamily,
     beta: float,
     truncation: int,
-    f_sup: float | None = None,
+    f_sup: float,
     force_threshold: int | None = None,
 ) -> tuple[StepFunction, CounterexampleParams, Certificate]:
     """Build the truncated integrator that keeps every cumulative integral negative.
@@ -403,7 +396,10 @@ def build_counterexample(
     integrals stay negative through the truncation horizon (optionally forced
     to any not-smaller value); bricks below n0 are dropped, so the integrator
     is h * chi_[a, crest(n0)). The returned certificate carries the per-index
-    evidence and the negativity verdict for the built integrator.
+    evidence and the negativity verdict for the built integrator. f_sup is
+    the caller's upper bound for f on its interval, which the analytic
+    threshold argument uses; it is taken as given, and f is read only at
+    the family's points.
     """
     report, values = _check_family(f, fam, truncation)
     if not report.ok:
@@ -430,7 +426,7 @@ def build_counterexample(
         chosen = threshold
     g = build_bricks(fam, beta, truncation, interval=f.interval, first=chosen)
     params = CounterexampleParams(beta=beta, truncation=truncation, threshold=chosen)
-    cert = _certify(f, fam, params, f_sup, records, remainder, report.ok,
+    cert = _certify(fam, params, f_sup, records, remainder, report.ok,
                     _brick_steps(g, values, chosen))
     return g, params, cert
 
@@ -455,7 +451,7 @@ def certify_negative(
     g: StepFunction,
     fam: OscillationFamily,
     params: CounterexampleParams,
-    f_sup: float | None = None,
+    f_sup: float,
 ) -> Certificate:
     """Exact negativity check of the cumulative integral over [trough(N), b].
 
@@ -464,17 +460,17 @@ def certify_negative(
     at every jump point (plus constancy in between) covers the whole range.
     Values are corrected by the analytic bound for the discarded tail; any
     corrected value at or above -slack makes the verdict false and is
-    reported with its location.
+    reported with its location. f_sup is the caller's upper bound for f,
+    as in build_counterexample.
     """
     values = _family_values(f, fam, params.truncation)
     records, remainder = _index_records(fam, params.beta, params.truncation, values)
     family_ok = _check_family(f, fam, params.truncation, values)[0].ok
     j = curve(f, g, [g.interval.b])
-    return _certify(f, fam, params, f_sup, records, remainder, family_ok, (j.ys, j.values))
+    return _certify(fam, params, f_sup, records, remainder, family_ok, (j.ys, j.values))
 
 
-def _certify(f: IntegrandSpec, fam: OscillationFamily,
-             params: CounterexampleParams, f_sup: float | None,
+def _certify(fam: OscillationFamily, params: CounterexampleParams, f_sup: float,
              records: IndexRecords, remainder: float, family_ok: bool,
              steps: tuple[np.ndarray, np.ndarray]) -> Certificate:
     """certify_negative on index records, a family check and the step values
@@ -485,13 +481,11 @@ def _certify(f: IntegrandSpec, fam: OscillationFamily,
     failed = ~_negative(corrected)
     failures = tuple(zip(ys[failed].tolist(), corrected[failed].tolist()))
 
-    f_sup_eff = _resolve_f_sup(f, f_sup)
-    analytic = None
-    if f_sup_eff is not None:
-        try:
-            analytic = certified_threshold(f_sup_eff, fam.alpha, params.beta, fam.gamma)
-        except ThresholdNotFound:
-            analytic = None
+    f_sup = float(f_sup)
+    try:
+        analytic = certified_threshold(f_sup, fam.alpha, params.beta, fam.gamma)
+    except ThresholdNotFound:
+        analytic = None
     analytic_ok = analytic is not None and analytic <= N + 1
 
     verdict = family_ok and not failures and analytic_ok
@@ -501,7 +495,7 @@ def _certify(f: IntegrandSpec, fam: OscillationFamily,
         certified_threshold=analytic,
         remainder_bound=remainder,
         truncation=N,
-        f_upper_bound=f_sup_eff,
+        f_upper_bound=f_sup,
         family_ok=family_ok,
         analytic_ok=analytic_ok,
         truncation_note=_TRUNCATION_NOTE.format(N=N, rem=remainder),

@@ -15,19 +15,21 @@ a continuous integrand: ``interval``, ``evaluate_array`` (the point values,
 and the one read at jumps), ``cell_integrals(lin, ys, tol)`` (the cuts of
 the cells of [a, ys[-1]] against a piecewise-linear integrator lin, the
 integral on each cell, the terms of its bound, and whether they are
-certified), and, for the witness gate, the counterexample's sup bound and
-the brute-force oracle, ``modulus_at(delta)``, ``heuristic``, ``pl_form()``
-(an exact piecewise-linear form, or None) and ``enclose(c, d)`` (a
-RangeBounds on [c, d]). An IntegrandSpec answers cell_integrals exactly
-through its affine form, and otherwise with _quadrature, the certified
-midpoint quadrature, which charges a sub-cell of width h only
-h * omega(h/4): a certified (non-heuristic) modulus must be concave in delta.
+certified), and, for the witness gate, the easy-case detectors and the
+brute-force oracle, ``modulus_at(delta)``, ``heuristic``, ``pl_form()`` (an
+exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
+on [c, d]). An IntegrandSpec answers cell_integrals exactly through its
+affine form, and otherwise with _quadrature, the certified midpoint
+quadrature, which charges a sub-cell of width h only h * omega(h/4): a
+certified (non-heuristic) modulus must be concave in delta.
 
 Folding: one walk, _fold, reads every subtree as c0 + c1*x, as not affine,
 or, free of x, as having no real value. The parser rejects numbers that are
-not finite and exponents that do not fold to a finite real constant; pl_form
-of an affine expression is its fold on the interval, present only where the
-compiled program evaluates at both ends, and so on the whole interval.
+not finite and exponents that do not fold to a finite real constant. The
+exact form is fixed when an IntegrandSpec is built: an affine expression's
+fold on the interval, present only where the compiled program evaluates at
+both ends, and so on the whole interval. pl_form() and cell_integrals read
+that stored form, so _fold runs only when parsing and constructing.
 
 Evaluation: an IntegrandSpec compiles its expression once, when it is
 built, into a flat program of numpy ufunc calls on a value stack; constants
@@ -574,6 +576,7 @@ class IntegrandSpec(_PointRead):
     modulus: ModulusDescriptor
     removable_value_at: tuple[float, float] | None = None
     _program: _Program = field(init=False, compare=False, repr=False)
+    _exact: PiecewiseLinear | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_program", _Program(self.expr))
@@ -586,6 +589,7 @@ class IntegrandSpec(_PointRead):
                 raise ConstructionError(
                     f"removable fill {fill!r} at x={point!r} contradicts the "
                     f"expression's value {at[0].item()!r} there")
+        object.__setattr__(self, "_exact", self._affine_form())
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -633,12 +637,12 @@ class IntegrandSpec(_PointRead):
         width = int(math.floor(delta / h + 1e-9))
         return _window_oscillation(self._grid_values, width) * m.safety_factor
 
-    def pl_form(self) -> PiecewiseLinear | None:
-        """Exact piecewise-linear form of a syntactically affine expression
-        whose program evaluates on the whole interval, else None (no
-        bounded-variation guarantee downstream). An operation on constants
-        that is not finite makes every point invalid, and an affine subterm
-        peaks in magnitude at an end, so the two ends decide."""
+    def _affine_form(self) -> PiecewiseLinear | None:
+        """The exact piecewise-linear form of a syntactically affine
+        expression whose program evaluates on the whole interval, else None,
+        decided once, when the spec is built. An operation on constants that
+        is not finite makes every point invalid, and an affine subterm peaks
+        in magnitude at an end, so the two ends decide."""
         folded = _fold(self.expr)
         if not isinstance(folded, tuple):
             return None
@@ -651,12 +655,18 @@ class IntegrandSpec(_PointRead):
             return None
         return PiecewiseLinear(((a, ends[0]), (b, ends[1])))
 
+    def pl_form(self) -> PiecewiseLinear | None:
+        """The exact piecewise-linear form fixed when the spec was built, or
+        None (no bounded-variation guarantee downstream)."""
+        return self._exact
+
     def cell_integrals(self, lin: PiecewiseLinear, ys: np.ndarray,
                        tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
         """The protocol's cell read: the affine form's exact answer, or else
         _quadrature's."""
-        exact = self.pl_form()
-        return _quadrature(self, lin, ys, tol) if exact is None else exact.cell_integrals(lin, ys, tol)
+        if self._exact is None:
+            return _quadrature(self, lin, ys, tol)
+        return self._exact.cell_integrals(lin, ys, tol)
 
     def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
         """min/max samples on [c, d], padded by omega(mesh/2) into bounds

@@ -27,17 +27,6 @@ def brick(lo, hi, height=1.0, interval=UNIT):
     return StepFunction.brick(interval, lo, hi, height)
 
 
-def step_integral_reference(g, c, d):
-    """StepFunction.integral by the cut loop it replaced: right limits at
-    the cuts, added in order (it raised for c == d == b)."""
-    g.interval.require_subinterval(c, d)
-    cuts = [c] + [p for p in g.breakpoints.tolist() if c < p < d] + [d]
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += g.right_limit(lo) * (hi - lo)
-    return total
-
-
 class TestInterval:
     def test_rejects_empty_and_reversed(self):
         with pytest.raises(ConstructionError):
@@ -171,29 +160,6 @@ class TestStepFunction:
             g.evaluate_array(xs), [g.evaluate(x) for x in xs]
         )
 
-    def test_integral_is_piecewise_sum(self):
-        g = StepFunction(UNIT, (0.5,), (2.0, 4.0), 0.0)
-        assert g.integral(0.0, 1.0) == pytest.approx(2.0 * 0.5 + 4.0 * 0.5)
-        assert g.integral(0.25, 0.75) == pytest.approx(2.0 * 0.25 + 4.0 * 0.25)
-
-    def test_integral_over_a_point_is_zero(self):
-        g = brick(0.3, 0.6)
-        for x in (0.0, 0.3, 0.45, 0.6, 1.0):
-            assert g.integral(x, x) == 0.0
-        assert BVFunction.from_step(g).integral(1.0, 1.0) == 0.0
-
-    def test_integral_matches_cut_loop_bit_for_bit(self):
-        rng = sampling.make_rng(2718)
-        for _ in range(300):
-            interval = sampling.random_interval(rng)
-            g = sampling.random_step(rng, interval, max_jumps=12)
-            ends = [interval.a, interval.b, *g.breakpoints.tolist(),
-                    *rng.uniform(interval.a, interval.b, size=4).tolist()]
-            for _ in range(6):
-                c, d = sorted(rng.choice(ends, size=2).tolist())
-                if c < d or c < interval.b:
-                    assert g.integral(c, d).hex() == step_integral_reference(g, c, d).hex()
-
     def test_addition_merges_breakpoints(self):
         g = brick(0.2, 0.6) + brick(0.4, 0.8, 2.0)
         assert g.evaluate(0.5) == 3.0
@@ -271,11 +237,6 @@ class TestPiecewiseLinear:
         f = PiecewiseLinear(((0.0, 0.5), (0.5, 0.0), (1.0, 0.5)))
         assert f.total_variation(0.0, 1.0) == pytest.approx(1.0)
 
-    def test_integral_exact(self):
-        f = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
-        assert f.integral(0.0, 1.0) == pytest.approx(0.5)
-        assert f.integral(0.5, 1.0) == pytest.approx(0.375)
-
     def test_rejects_single_knot_and_duplicates(self):
         with pytest.raises(ConstructionError):
             PiecewiseLinear(((0.0, 0.0),))
@@ -347,7 +308,7 @@ class TestStoredColumns:
         for h in (g, f, BVFunction(g, f)):
             reads = [h.evaluate(0.4), h.evaluate(0.5), h.evaluate(1.0), h.left_limit(0.5),
                      h.left_limit(1.0), h.right_limit(0.0), h.right_limit(0.75),
-                     h.total_variation(), h.total_variation(0.2, 0.6), h.integral(0.1, 0.9)]
+                     h.total_variation(), h.total_variation(0.2, 0.6)]
             assert all(type(v) is float for v in reads), h
         reads = [f.min_value(), f.max_value(0.1, 0.2), f.modulus_at(0.01),
                  f.enclose(0.0, 1.0).lower]

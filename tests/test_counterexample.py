@@ -671,7 +671,7 @@ class TestIntegrandReads:
         swapped = OscillationFamily(fam.accumulation_point, fam.crest, fam.trough,
                                     fam.alpha, fam.gamma)
         with pytest.raises(DomainError, match="interleaving"):
-            build_counterexample(f, swapped, BETA, 50)
+            build_counterexample(f, swapped, BETA, 50, f_sup=POWER_SINE_UPPER_BOUND)
         assert reads == []
 
 

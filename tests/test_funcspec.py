@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rscert.bv_core import ConstructionError, DomainError, Interval, PiecewiseLinear
+from rscert import funcspec
+from rscert.bv_core import (BVFunction, ConstructionError, DomainError, Interval, PiecewiseLinear,
+                            StepFunction)
 from rscert.funcspec import (
     BinaryOp,
     Call,
@@ -25,6 +27,8 @@ from rscert.funcspec import (
     parse,
 )
 from rscert.counterexample import power_sine_family
+from rscert.positivity import find_positive_y, positive_interval
+from rscert.stieltjes import rs_bv
 from rscert import sampling
 
 UNIT = Interval(0.0, 1.0)
@@ -439,6 +443,60 @@ class TestAffineDetection:
         assert pl.pl_form() is pl
         f, _ = power_sine_family(0.5)
         assert f.pl_form() is None
+
+
+class TestExactFormFixedAtConstruction:
+    """The exact form is decided once, when the spec is built: no later read
+    folds the expression again, and the exact cell read builds no function."""
+
+    PL3 = PiecewiseLinear(((0.0, 0.0), (0.3, 0.5), (0.6, 0.2), (1.0, 1.0)))
+    BRICK = StepFunction.brick(UNIT, 0.5, 1.0)
+    INTEGRATORS = (PL3, BVFunction(BRICK, PL3), BRICK)
+    AFFINE = (("0.3+0.7*x", None), ("x+0.75", (0.5, 1.25)))
+
+    @staticmethod
+    def spy(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    @pytest.mark.parametrize("text, fill", AFFINE)
+    def test_no_fold_after_construction(self, monkeypatch, text, fill):
+        f = spec_of(text, Lipschitz(1.0), fill)
+        assert f.pl_form() is not None
+        folds = []
+        self.spy(monkeypatch, funcspec, "_fold", folds)
+        for g in self.INTEGRATORS:
+            f.cell_integrals(self.PL3, np.array([0.25, 0.95]), 1e-9)
+            rs_bv(f, g, 0.95)
+            witness = find_positive_y(f, g)
+            positive_interval(f, g, witness)
+        assert folds == []
+        assert f.pl_form() is f.pl_form()
+
+    def test_fold_runs_when_constructing(self, monkeypatch):
+        expr = parse("0.3+0.7*x")
+        folds = []
+        self.spy(monkeypatch, funcspec, "_fold", folds)
+        IntegrandSpec(expr, UNIT, Lipschitz(1.0))
+        assert folds
+
+    @pytest.mark.parametrize("text, fill", AFFINE)
+    def test_exact_cell_read_builds_no_function(self, monkeypatch, text, fill):
+        f = spec_of(text, Lipschitz(1.0), fill)
+        pl = PiecewiseLinear(((0.0, 1.0), (0.4, 0.25), (1.0, 2.0)))
+        built = []
+        for cls in (StepFunction, PiecewiseLinear):
+            self.spy(monkeypatch, cls, "__post_init__", built)
+        for integrand in (f, pl):
+            cuts, steps, terms, certified = integrand.cell_integrals(
+                self.PL3, np.array([0.25, 0.95]), 1e-9)
+            assert certified and not terms.any() and len(steps) == len(cuts) - 1
+        assert built == []
 
 
 class TestIntegrandRange:
