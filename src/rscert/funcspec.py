@@ -21,7 +21,11 @@ exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
 on [c, d]). An IntegrandSpec answers cell_integrals exactly through its
 affine form, and otherwise with _quadrature, the certified midpoint
 quadrature, which charges a sub-cell of width h only h * omega(h/4): a
-certified (non-heuristic) modulus must be concave in delta.
+certified (non-heuristic) modulus must be concave in delta. It reads the
+midpoints in cell order, a run of consecutive cells with the same count at
+a time, one row per cell and one integrand_values call per block of whole
+rows of at most 2^14 points, and sums each row pairwise, as a cell's own
+array would be summed.
 
 Folding: one walk, _fold, reads every subtree as c0 + c1*x, as not affine,
 or, free of x, as having no real value. The parser rejects numbers that are
@@ -717,6 +721,7 @@ def integrand_modulus(f, delta: float) -> float:
 
 
 EVALUATION_BUDGET = 2**21  # midpoint evaluations per certified integration call
+_BLOCK_POINTS = 2**14  # midpoints per integrand_values call of _quadrature's read
 
 
 def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
@@ -728,7 +733,15 @@ def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
     sloped cell gets ceil(len / width) midpoints; width halves from the
     longest cell until the bound, summed in cell order, meets tol, or until
     the midpoints would exceed EVALUATION_BUDGET (after k halvings the
-    longest cell alone gets exactly 2^k).
+    longest cell alone gets exactly 2^k). omega is asked once per distinct
+    argument, in ascending order.
+
+    The midpoints are read in cell order, a run of consecutive cells with
+    the same count n at a time: one row of n midpoints per cell, and one
+    integrand_values call per block of whole rows of at most _BLOCK_POINTS
+    points (a longer row alone). Each row is summed pairwise, as a cell's
+    own array would be, so every float is the one a loop over the cells
+    makes, and an undefined point is reported at the leftmost one.
 
     A sub-cell of width h misses its integral by at most the integral of
     omega(|x - m|) over it, h times the mean of omega on [0, h/2], which is
@@ -749,10 +762,10 @@ def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
 
     def bound_terms(width: float) -> np.ndarray:
         # omega is asked at spacing / 4 (spacing when Sampled), once per distinct spacing
-        spacing = np.minimum(length / counts(width), f.interval.length) / (1.0 if sampled else 4.0)
-        spacings, at = np.unique(spacing, return_inverse=True)
-        omega = np.array([integrand_modulus(f, d) for d in spacings.tolist()])
-        return np.abs(slope) * length * omega[at]
+        spacing = (np.minimum(length / counts(width), f.interval.length)
+                   / (1.0 if sampled else 4.0)).tolist()
+        omega = {d: integrand_modulus(f, d) for d in sorted(set(spacing))}
+        return np.abs(slope) * length * np.array([omega[d] for d in spacing])
 
     width = float(length.max())
     best_width, best_terms = width, bound_terms(width)
@@ -766,10 +779,17 @@ def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
         if bound < best_bound:
             best_width, best_terms, best_bound = width, candidate, bound
 
-    sums = []
-    for x, h, s, n in zip(lo.tolist(), length.tolist(), slope.tolist(),
-                          counts(best_width).astype(int).tolist()):
-        mids = x + (np.arange(n) + 0.5) * (h / n)
-        sums.append(s * (h / n) * float(integrand_values(f, mids).sum()))
-    steps[sloped], terms[sloped] = sums, best_terms
+    n_of = counts(best_width)
+    w = length / n_of
+    sums = np.empty(len(w))
+    ends = np.append(np.flatnonzero(np.diff(n_of)) + 1, len(w)).tolist()
+    for start, end in zip([0] + ends, ends):
+        n = int(n_of[start])
+        offsets = np.arange(n) + 0.5
+        rows = max(1, _BLOCK_POINTS // n)
+        for i in range(start, end, rows):
+            j = min(i + rows, end)
+            mids = lo[i:j, None] + offsets * w[i:j, None]
+            sums[i:j] = integrand_values(f, mids.ravel()).reshape(j - i, n).sum(axis=1)
+    steps[sloped], terms[sloped] = slope * w * sums, best_terms
     return cuts, steps, terms, not sampled

@@ -1,6 +1,8 @@
 """Integration paths: exact jump sums, certified quadrature, the brute-force
 oracle, integration by parts, and cumulative curves."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from rscert.bv_core import (
 )
 from rscert.funcspec import (
     EVALUATION_BUDGET,
+    EvaluationError,
     Hoelder,
     IntegrandSpec,
     Lipschitz,
@@ -36,10 +39,12 @@ from rscert.stieltjes import (
     rs_pl_integrator_exact,
 )
 from rscert.counterexample import build_bricks, power_sine_family
-from rscert import sampling
+from rscert import funcspec, sampling, stieltjes
 
 UNIT = Interval(0.0, 1.0)
 IDENTITY = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
+# the integrate benchmark's kind of integrand; |f'| <= 11.4 on [0, 1]
+SMOOTH = "3+0.5*x+0.9*x^2+0.4*sin(9.4*x+2.4)+0.6*cos(8.9*x+0.3)"
 
 
 def const_pl(value, interval=UNIT):
@@ -60,23 +65,23 @@ def clipped_pieces_reference(g, lo_limit, hi_limit):
     return out
 
 
-def quadrature_reference(f, g, y, tol):
-    """rs_pl_certified(f, g, y, tol) for an f with no exact form, by the
-    per-piece loop it replaced: (value, bound, certified, message), with
-    the message of ToleranceNotReached, or None when the bound meets tol."""
-    pieces = clipped_pieces_reference(g, g.interval.a, y)
-    if not pieces:
-        return 0.0, 0.0, True, None
-    domain_len = f.interval.length
+def reference_bound(f, pieces, width):
+    """The quadrature's bound over pieces (lo, hi, slope) at width, by the
+    per-piece loop it replaced: each piece gets max(1, ceil(length / width))
+    midpoints."""
+    total = 0.0
+    for lo, hi, s in pieces:
+        length = hi - lo
+        n = max(1, math.ceil(length / width))
+        total += abs(s) * length * integrand_modulus(
+            f, min(length / n, f.interval.length) / (1.0 if f.heuristic else 4.0))
+    return total
 
-    def bound_at(width):
-        total = 0.0
-        for lo, hi, s in pieces:
-            length = hi - lo
-            n = max(1, math.ceil(length / width))
-            total += abs(s) * length * integrand_modulus(f, min(length / n, domain_len) / (1.0 if f.heuristic else 4.0))
-        return total
 
+def reference_width(f, pieces, tol):
+    """(width, bound) that the quadrature's refinement over pieces ends
+    with, by the per-piece loop it replaced."""
+    bound_at = functools.partial(reference_bound, f, pieces)
     width = max(hi - lo for lo, hi, _ in pieces)
     best_width, best_bound = width, bound_at(width)
     while best_bound > tol:
@@ -87,17 +92,53 @@ def quadrature_reference(f, g, y, tol):
         candidate = bound_at(width)
         if candidate < best_bound:
             best_width, best_bound = width, candidate
+    return best_width, best_bound
 
-    total = 0.0
-    for lo, hi, s in pieces:
-        length = hi - lo
-        n = max(1, math.ceil(length / best_width))
-        mids = lo + (np.arange(n) + 0.5) * (length / n)
-        total += s * (length / n) * float(integrand_values(f, mids).sum())
+
+def midpoint_counts(f, pieces, tol):
+    """Each piece's midpoint count at the width reference_width ends with."""
+    width, _ = reference_width(f, pieces, tol)
+    return [max(1, math.ceil((hi - lo) / width)) for lo, hi, _ in pieces]
+
+
+def curve_reference(f, lin, grid, tol):
+    """(values, bounds) of curve(f, lin, grid, tol) for an f with no exact
+    form, by the per-cell loop it replaced: the cells lie between a, lin's
+    knots and the grid points, and each is read with its own midpoint array."""
+    cuts = sorted({lin.interval.a, *grid, *(x for x in lin.xs.tolist() if x <= grid[-1])})
+    cells = [clipped_pieces_reference(lin, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    width, _ = reference_width(f, [piece for cell in cells for piece in cell], tol)
+    value = bound = 0.0
+    at = {}
+    for hi, cell in zip(cuts[1:], cells):
+        for lo, _, s in cell:  # empty where lin is flat
+            length = hi - lo
+            n = max(1, math.ceil(length / width))
+            mids = lo + (np.arange(n) + 0.5) * (length / n)
+            value += s * (length / n) * float(integrand_values(f, mids).sum())
+            bound += reference_bound(f, cell, width)
+        at[hi] = (value, bound)
+    return [at[y][0] for y in grid], [at[y][1] for y in grid]
+
+
+def quadrature_reference(f, g, y, tol):
+    """rs_pl_certified(f, g, y, tol) for an f with no exact form, by the
+    per-piece loop it replaced: (value, bound, certified, message), with
+    the message of ToleranceNotReached, or None when the bound meets tol."""
+    if not clipped_pieces_reference(g, g.interval.a, y):
+        return 0.0, 0.0, True, None
+    (value,), (bound,) = curve_reference(f, g, [y], tol)
     message = None
-    if best_bound > tol:
-        message = f"tolerance {tol} unreachable within the refinement cap; best bound {best_bound}"
-    return total, best_bound, not f.heuristic, message
+    if bound > tol:
+        message = f"tolerance {tol} unreachable within the refinement cap; best bound {bound}"
+    return value, bound, not f.heuristic, message
+
+
+def random_slopes_pl(rng, xs, flat=()):
+    """A PiecewiseLinear on the knots xs with random rises, 0 on the pieces in flat."""
+    rises = rng.uniform(-1.0, 1.0, len(xs) - 1)
+    rises[list(flat)] = 0.0
+    return PiecewiseLinear(np.column_stack((xs, np.append(0.0, np.cumsum(rises)))))
 
 
 class TestJumpExact:
@@ -328,6 +369,109 @@ class TestQuadratureKernel:
         assert str(err.value) == message
         assert abs(err.value.value - value) <= 1e-15
         assert err.value.error_bound > 1e-13
+
+    # (knots on [0, 1], flat pieces, the width the refinement should end at)
+    READ_SHAPES = {
+        # 32 equal cells of 2048 midpoints: a run cut into blocks of whole rows
+        "equal": (np.arange(33) / 32.0, (), 1.0 / 32.0 / 2**11),
+        # 2^14 midpoints on [0, 0.25], then 30 cells of 1639: blocks of 9, 9, 9 and 3 rows
+        "uneven": (np.append(0.0, np.append(0.25 + 0.025 * np.arange(30), 1.0)), (), 0.25 / 2**14),
+        # 2^15 midpoints on [0, 0.9]: one row over the block size
+        "long": (np.array([0.0, 0.9, 1.0]), (), 0.9 / 2**15),
+        # ten cells of length 1e-6 get one midpoint each, around a flat one
+        "short": (np.concatenate(([0.0], 0.5 + 1e-6 * np.arange(11), [1.0])), (3,), 0.5 / 2**10),
+        # lengths 2/30 and 1/30 alternate: every run is one cell
+        "alternating": (np.cumsum(np.append(0.0, np.tile([2.0, 1.0], 15))) / 30.0, (), 2.0 / 30.0 / 2**8),
+    }
+
+    def test_batched_read_matches_per_piece_reference_bit_for_bit(self, monkeypatch):
+        # the reference asks omega once per piece; a Sampled window oscillation
+        # over 2^16 grid cells is worth reading once per delta
+        monkeypatch.setitem(globals(), "integrand_modulus",
+                            functools.cache(lambda f, d: f.modulus_at(d)))
+        rng = sampling.make_rng(2424)
+        block = funcspec._BLOCK_POINTS
+        moduli = (Lipschitz(12.0), Hoelder(12.0, 0.5), Sampled(2**16, 1.5))
+        seen = set()
+        for xs, flat, width in self.READ_SHAPES.values():
+            lin = random_slopes_pl(rng, xs, flat)
+            pieces = clipped_pieces_reference(lin, 0.0, 1.0)
+            for modulus in moduli:
+                f = IntegrandSpec(parse(SMOOTH), UNIT, modulus)
+                tol = 1.1 * reference_bound(f, pieces, width)
+                value, bound, certified, message = quadrature_reference(f, lin, 1.0, tol)
+                assert message is None
+                r = rs_pl_certified(f, lin, 1.0, tol)
+                assert (r.value.hex(), r.error_bound.hex(), r.certified) == (
+                    value.hex(), bound.hex(), certified)
+                runs = [(n, len(list(run))) for n, run in itertools.groupby(midpoint_counts(f, pieces, tol))]
+                kinds = {"split" for n, k in runs if n <= block < n * k}
+                kinds |= {"long" for n, _ in runs if n > block} | {"one" for n, _ in runs if n == 1}
+                if len(runs) == len(pieces) > 2:
+                    kinds.add("alternating")
+                seen |= {(kind, type(modulus).__name__) for kind in kinds}
+        assert seen == {(kind, m) for kind in ("split", "long", "one", "alternating")
+                        for m in ("Lipschitz", "Hoelder", "Sampled")}
+
+    def test_budget_stop_matches_per_piece_reference_bit_for_bit(self):
+        lin = random_slopes_pl(sampling.make_rng(2425), np.arange(33) / 32.0)
+        f = IntegrandSpec(parse(SMOOTH), UNIT, Lipschitz(12.0))
+        value, bound, _, message = quadrature_reference(f, lin, 1.0, 1e-13)
+        assert message is not None
+        with pytest.raises(ToleranceNotReached) as err:
+            rs_pl_certified(f, lin, 1.0, 1e-13)
+        assert str(err.value) == message
+        assert (err.value.value.hex(), err.value.error_bound.hex()) == (value.hex(), bound.hex())
+
+    def test_curve_matches_per_cell_reference_bit_for_bit(self):
+        rng = sampling.make_rng(2426)
+        lin = random_slopes_pl(rng, np.linspace(0.0, 1.0, 17), flat=(5,))
+        f = IntegrandSpec(parse(SMOOTH), UNIT, Lipschitz(12.0))
+        grid = np.sort(rng.uniform(0.0, 1.0, 50))
+        c = curve(f, lin, grid, 1e-4)
+        values, bounds = curve_reference(f, lin, grid.tolist(), 1e-4)
+        assert [v.hex() for v in c.values.tolist()] == [v.hex() for v in values]
+        assert [v.hex() for v in c.error_bounds.tolist()] == [v.hex() for v in bounds]
+
+    def test_undefined_midpoint_is_reported_at_the_leftmost(self):
+        # 8 midpoints on [0, 0.5], then 4 on [0.5, 0.7]: the poles at the
+        # second midpoint of each, so a read of the second cell first would
+        # name 0.6749999999999999
+        g = PiecewiseLinear(((0, 0), (0.5, 1), (0.7, 2), (1, 2)))
+        f = IntegrandSpec(parse("1/(x-0.09375) + 1/(x-0.6749999999999999)"), UNIT, Lipschitz(1.0))
+        assert midpoint_counts(f, clipped_pieces_reference(g, 0.0, 0.7), 0.05) == [8, 4]
+        with pytest.raises(EvaluationError, match=r"^expression undefined at x=0\.09375$"):
+            rs_pl_certified(f, g, 0.7, 0.05)
+
+    def test_workload_shaped_read_counts(self, monkeypatch):
+        """32 equal sloped cells of 2048 midpoints and two jumps: the points
+        are read in whole blocks, the same points as the per-piece loop, and
+        omega is asked once per distinct delta of each of that loop's rounds."""
+        lin = random_slopes_pl(sampling.make_rng(2427), np.arange(33) / 32.0)
+        g = BVFunction(StepFunction(UNIT, (0.3, 0.6), (0.0, 0.05, -0.02), -0.02), lin)
+        f = IntegrandSpec(parse(SMOOTH), UNIT, Lipschitz(12.0))
+        pieces = clipped_pieces_reference(lin, 0.0, 1.0)
+        tol = 1.5 * reference_bound(f, pieces, 1.0 / 32.0 / 2**11)
+        assert midpoint_counts(f, pieces, tol) == [2048] * 32
+
+        reference_deltas = []
+        monkeypatch.setitem(globals(), "integrand_modulus",
+                            lambda f, d: reference_deltas.append(d) or f.modulus_at(d))
+        reference_width(f, pieces, tol)
+        points, deltas = [], []
+        values_of, modulus_of = funcspec.integrand_values, funcspec.integrand_modulus
+
+        def values_spy(f, xs):
+            points.append(len(xs))
+            return values_of(f, xs)
+
+        for module in (funcspec, stieltjes):
+            monkeypatch.setattr(module, "integrand_values", values_spy)
+        monkeypatch.setattr(funcspec, "integrand_modulus", lambda f, d: deltas.append(d) or modulus_of(f, d))
+        rs_bv(f, g, 1.0, tol)
+        assert len(points) <= 1 + math.ceil(32 * 2048 / funcspec._BLOCK_POINTS)
+        assert sum(points) == 2 + 32 * 2048
+        assert reference_deltas == [d for d in deltas for _ in range(32)]
 
 
 class TestRsBv:
