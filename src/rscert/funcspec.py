@@ -21,7 +21,10 @@ exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
 on [c, d]). An IntegrandSpec answers cell_integrals exactly through its
 affine form, and otherwise with _quadrature, the certified midpoint
 quadrature, which charges a sub-cell of width h only h * omega(h/4): a
-certified (non-heuristic) modulus must be concave in delta. It reads the
+certified (non-heuristic) modulus must be concave in delta. It works its
+midpoint width out from tol in one step, through the inverse of the modulus
+(closed-form for Lipschitz and Hoelder, a search over the grid's window
+widths for Sampled), instead of halving toward it. It reads the
 midpoints in cell order, a run of consecutive cells with the same count at
 a time, one row per cell and one integrand_values call per block of whole
 rows of at most 2^14 points, and sums each row pairwise, as a cell's own
@@ -637,9 +640,50 @@ class IntegrandSpec(_PointRead):
             return m.constant * delta
         if isinstance(m, Hoelder):
             return m.constant * delta**m.exponent
-        h = self.interval.length / m.resolution
-        width = int(math.floor(delta / h + 1e-9))
-        return _window_oscillation(self._grid_values, width) * m.safety_factor
+        return self._sampled_at(self._windows(delta))
+
+    def _windows(self, delta: float) -> int:
+        """The number of grid cells a Sampled window of span delta covers."""
+        return int(math.floor(delta / (self.interval.length / self.modulus.resolution) + 1e-9))
+
+    def _sampled_at(self, windows: int) -> float:
+        """The Sampled modulus over windows of that many grid cells."""
+        return _window_oscillation(self._grid_values, windows) * self.modulus.safety_factor
+
+    def _modulus_inverse(self, eps: float) -> float:
+        """sup{delta in (0, length] : modulus_at(delta) <= eps}, for eps >= 0.
+
+        Closed form for Lipschitz and Hoelder (the length where the modulus
+        stays within eps everywhere, as with a constant of 0). A Sampled
+        modulus is searched over the window widths of its grid, doubling
+        from one cell and then bisecting, which is valid because the
+        oscillation does not decrease as windows widen; the result is the
+        largest float that modulus_at reads as the widest window within eps,
+        just under the next grid cell."""
+        length, m = self.interval.length, self.modulus
+        if not isinstance(m, Sampled):
+            if self.modulus_at(length) <= eps:
+                return length
+            if isinstance(m, Lipschitz):
+                return eps / m.constant
+            return (eps / m.constant) ** (1.0 / m.exponent)
+        within, beyond = 0, 1  # _sampled_at(within) <= eps, and then < _sampled_at(beyond)
+        while self._sampled_at(beyond) <= eps:
+            if beyond == m.resolution:
+                return length
+            within, beyond = beyond, min(2 * beyond, m.resolution)
+        while beyond - within > 1:
+            middle = (within + beyond) // 2
+            if self._sampled_at(middle) <= eps:
+                within = middle
+            else:
+                beyond = middle
+        delta = (within + 1 - 1e-9) * (length / m.resolution)
+        while self._windows(delta) > within:
+            delta = math.nextafter(delta, 0.0)
+        while self._windows(math.nextafter(delta, math.inf)) <= within:
+            delta = math.nextafter(delta, math.inf)
+        return delta
 
     def _affine_form(self) -> PiecewiseLinear | None:
         """The exact piecewise-linear form of a syntactically affine
@@ -691,22 +735,19 @@ class IntegrandSpec(_PointRead):
 def _window_oscillation(values: np.ndarray, width: int) -> float:
     """max over sliding windows of (window max - window min), width+1 points.
 
-    van Herk / Gil-Werman: cut the values into blocks of width+1 points; a
-    window spans at most two blocks, so its extremum is that of a suffix of
-    one block and a prefix of the next, each read off one accumulate pass.
+    Doubling: after k rounds, hi[i] and lo[i] are the extremes of the 2^k
+    points from i; a window of 2^k + r points (r < 2^k) is the union of the
+    runs of 2^k points at its two ends. So log2(width) whole-array passes.
     """
     if width <= 0:
         return 0.0
-    n = len(values)
-    w = min(width, n - 1) + 1
-    blocks = -(-n // w)
-    extremes = []
-    for extremum, fill in ((np.maximum, -np.inf), (np.minimum, np.inf)):
-        padded = np.concatenate([values, np.full(blocks * w - n, fill)]).reshape(blocks, w)
-        prefix = extremum.accumulate(padded, axis=1).ravel()
-        suffix = extremum.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
-        extremes.append(extremum(suffix[: n - w + 1], prefix[w - 1 : n]))
-    return float((extremes[0] - extremes[1]).max())
+    span = min(width, len(values) - 1) + 1
+    hi, lo, run = values, values, 1
+    while 2 * run <= span:
+        hi, lo = np.maximum(hi[:-run], hi[run:]), np.minimum(lo[:-run], lo[run:])
+        run *= 2
+    r = span - run
+    return float((np.maximum(hi[:len(hi) - r], hi[r:]) - np.minimum(lo[:len(lo) - r], lo[r:])).max())
 
 
 # perfbench/tracing.py wraps these two by name, for its per-layer spans
@@ -722,6 +763,7 @@ def integrand_modulus(f, delta: float) -> float:
 
 EVALUATION_BUDGET = 2**21  # midpoint evaluations per certified integration call
 _BLOCK_POINTS = 2**14  # midpoints per integrand_values call of _quadrature's read
+_ROUNDING_STEPS = 8  # relative 2^-20 narrowings of the fitted width, should rounding miss tol
 
 
 def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
@@ -730,11 +772,21 @@ def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
     ys): s * (midpoint sum of f) on each sloped cell [x0, x0 + len], and the
     terms |s| * len * omega_f(spacing / 4) of its bound (omega_f(spacing) for
     a Sampled modulus, and then not certified); flat cells get 0 and 0. Each
-    sloped cell gets ceil(len / width) midpoints; width halves from the
-    longest cell until the bound, summed in cell order, meets tol, or until
-    the midpoints would exceed EVALUATION_BUDGET (after k halvings the
-    longest cell alone gets exactly 2^k). omega is asked once per distinct
-    argument, in ascending order.
+    sloped cell gets ceil(len / width) midpoints, with one width worked out
+    from tol rather than searched for: with W the sum of |s| * len and
+    delta* = f._modulus_inverse(tol / W), the widest argument at which omega
+    stays within tol / W, the width is 4 * delta* (delta* when Sampled).
+    Every spacing is then at most the width and omega does not decrease, so
+    the bound is at most W * omega(delta*) <= tol. A cell no longer than the
+    width keeps one midpoint however wide the width grows, so such cells,
+    shortest first, are charged their own term and leave W, and the width
+    is worked out again from what remains of tol, until no more cells fall
+    under it. Should rounding carry the bound, summed in cell order, past
+    tol, the width narrows by a relative 2^-20, at most _ROUNDING_STEPS
+    times. When the counts would exceed EVALUATION_BUDGET, the width is the
+    sum of the lengths over (budget - cells), the finest the budget allows,
+    or the longest cell when the cells alone reach the budget. omega is
+    asked once per distinct argument.
 
     The midpoints are read in cell order, a run of consecutive cells with
     the same count n at a time: one row of n midpoints per cell, and one
@@ -748,7 +800,7 @@ def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
     at most h * omega(h/4) when omega is concave (Jensen); every certified
     modulus is. A Sampled window oscillation is not concave, so it keeps
     omega(h); a smaller argument would also reach its zero below the grid
-    spacing a round sooner."""
+    spacing at a wider width."""
     cuts, slopes = _cells(lin, ys)
     steps, terms = np.zeros(len(slopes)), np.zeros(len(slopes))
     sloped = slopes != 0.0
@@ -756,30 +808,45 @@ def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
         return cuts, steps, terms, True
     lo, length, slope = cuts[:-1][sloped], np.diff(cuts)[sloped], slopes[sloped]
     sampled = isinstance(f.modulus, Sampled)
+    scale = 1.0 if sampled else 4.0  # omega is asked at spacing / 4 (spacing when Sampled)
+    weight = np.abs(slope) * length
+    omega: dict[float, float] = {}
 
     def counts(width: float) -> np.ndarray:
         return np.maximum(1.0, np.ceil(length / width))
 
+    def modulus(spacing: np.ndarray) -> np.ndarray:
+        deltas = (np.minimum(spacing, f.interval.length) / scale).tolist()
+        omega.update((d, integrand_modulus(f, d)) for d in sorted(set(deltas) - omega.keys()))
+        return np.array([omega[d] for d in deltas])
+
     def bound_terms(width: float) -> np.ndarray:
-        # omega is asked at spacing / 4 (spacing when Sampled), once per distinct spacing
-        spacing = (np.minimum(length / counts(width), f.interval.length)
-                   / (1.0 if sampled else 4.0)).tolist()
-        omega = {d: integrand_modulus(f, d) for d in sorted(set(spacing))}
-        return np.abs(slope) * length * np.array([omega[d] for d in spacing])
+        return weight * modulus(length / counts(width))
 
-    width = float(length.max())
-    best_width, best_terms = width, bound_terms(width)
-    best_bound = _running_sum(best_terms)[-1]
-    while best_bound > tol:
-        width /= 2.0
-        if counts(width).sum() > EVALUATION_BUDGET:
+    order = np.argsort(length, kind="stable")
+    ordered, wide = length[order], np.ones(len(length), dtype=bool)
+    short, charged = 0, 0.0
+    while True:
+        rest = float(_running_sum(weight[wide])[-1])
+        width = f._modulus_inverse(max(0.0, tol - charged) / rest if rest > 0.0 else math.inf) * scale
+        newly = order[short:np.searchsorted(ordered, width, side="right")]
+        if not newly.size:
             break
-        candidate = bound_terms(width)
-        bound = _running_sum(candidate)[-1]
-        if bound < best_bound:
-            best_width, best_terms, best_bound = width, candidate, bound
+        charged = float(_running_sum(np.append(charged, weight[newly] * modulus(length[newly])))[-1])
+        wide[newly], short = False, short + newly.size
+    total = float(_running_sum(length)[-1])
+    fits = width * EVALUATION_BUDGET >= total and counts(width).sum() <= EVALUATION_BUDGET
+    if not fits:
+        cells = len(length)
+        width = total / (EVALUATION_BUDGET - cells) if cells < EVALUATION_BUDGET else float(length.max())
+    cell_terms = bound_terms(width)
+    for _ in range(_ROUNDING_STEPS if fits else 0):
+        narrower = width * (1.0 - 2.0**-20)
+        if _running_sum(cell_terms)[-1] <= tol or counts(narrower).sum() > EVALUATION_BUDGET:
+            break
+        width, cell_terms = narrower, bound_terms(narrower)
 
-    n_of = counts(best_width)
+    n_of = counts(width)
     w = length / n_of
     sums = np.empty(len(w))
     ends = np.append(np.flatnonzero(np.diff(n_of)) + 1, len(w)).tolist()
@@ -791,5 +858,5 @@ def _quadrature(f: IntegrandSpec, lin: PiecewiseLinear, ys: np.ndarray,
             j = min(i + rows, end)
             mids = lo[i:j, None] + offsets * w[i:j, None]
             sums[i:j] = integrand_values(f, mids.ravel()).reshape(j - i, n).sum(axis=1)
-    steps[sloped], terms[sloped] = slope * w * sums, best_terms
+    steps[sloped], terms[sloped] = slope * w * sums, cell_terms
     return cuts, steps, terms, not sampled

@@ -325,7 +325,7 @@ class TestWindowOscillation:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=int(rng.integers(40, 200)))
         n = len(values)
-        for width in (0, 1, 7, n - 1, n + 5):
+        for width in (0, 1, 2, 3, 7, 8, 9, 31, n - 2, n - 1, n + 5):
             expected = 0.0
             if width > 0:
                 windows = np.lib.stride_tricks.sliding_window_view(values, min(width, n - 1) + 1)

@@ -78,9 +78,77 @@ def reference_bound(f, pieces, width):
     return total
 
 
+def reference_inverse(f, eps):
+    """sup{delta in (0, length] : modulus_at(delta) <= eps}: the closed forms
+    for Lipschitz and Hoelder, and for Sampled a bisection over the positive
+    floats themselves, which are ordered as their bit patterns."""
+    length = f.interval.length
+    if f.modulus_at(length) <= eps:
+        return length
+    m = f.modulus
+    if isinstance(m, Lipschitz):
+        return eps / m.constant
+    if isinstance(m, Hoelder):
+        return (eps / m.constant) ** (1.0 / m.exponent)
+    bits = np.array([5e-324, length]).view(np.int64).tolist()  # modulus_at within, beyond eps
+    while bits[1] - bits[0] > 1:
+        middle = (bits[0] + bits[1]) // 2
+        bits[f.modulus_at(float(np.int64(middle).view(np.float64))) > eps] = middle
+    return float(np.int64(bits[0]).view(np.float64))
+
+
 def reference_width(f, pieces, tol):
-    """(width, bound) that the quadrature's refinement over pieces ends
-    with, by the per-piece loop it replaced."""
+    """(width, bound) that the quadrature's fitted rule over pieces ends
+    with, by a per-piece loop: 4 * delta* (delta* when Sampled) for the
+    widest delta* with omega(delta*) <= (tol - charged) / (sum of |s| *
+    length over the other pieces), where the pieces no longer than that
+    width, shortest first, are charged at their own length, until no more
+    fall under it; narrowed by a relative 2^-20 while rounding carries the
+    bound past tol; over the budget, the sum of the lengths over (budget -
+    pieces)."""
+    scale = 1.0 if f.heuristic else 4.0
+    lengths = [hi - lo for lo, hi, _ in pieces]
+    weights = [abs(s) * (hi - lo) for lo, hi, s in pieces]
+    short, charged = set(), 0.0
+    while True:
+        rest = 0.0
+        for k, weight in enumerate(weights):
+            if k not in short:
+                rest += weight
+        width = reference_inverse(f, max(0.0, tol - charged) / rest if rest > 0.0 else math.inf) * scale
+        newly = sorted((k for k, length in enumerate(lengths) if k not in short and length <= width),
+                       key=lambda k: (lengths[k], k))
+        if not newly:
+            break
+        for k in newly:
+            charged += weights[k] * integrand_modulus(f, min(lengths[k], f.interval.length) / scale)
+        short.update(newly)
+    total = 0.0
+    for length in lengths:
+        total += length
+
+    def points(width):
+        return sum(max(1, math.ceil((hi - lo) / width)) for lo, hi, _ in pieces)
+
+    if width * EVALUATION_BUDGET >= total and points(width) <= EVALUATION_BUDGET:
+        bound = reference_bound(f, pieces, width)
+        for _ in range(funcspec._ROUNDING_STEPS):
+            narrower = width * (1.0 - 2.0**-20)
+            if bound <= tol or points(narrower) > EVALUATION_BUDGET:
+                break
+            width, bound = narrower, reference_bound(f, pieces, narrower)
+        return width, bound
+    if len(pieces) < EVALUATION_BUDGET:
+        width = total / (EVALUATION_BUDGET - len(pieces))
+    else:
+        width = max(hi - lo for lo, hi, _ in pieces)
+    return width, reference_bound(f, pieces, width)
+
+
+def halving_width(f, pieces, tol):
+    """(width, bound) that the quadrature's earlier refinement ended with:
+    the width halved from the longest piece until the bound met tol or the
+    midpoints would exceed the budget, keeping the best bound seen."""
     bound_at = functools.partial(reference_bound, f, pieces)
     width = max(hi - lo for lo, hi, _ in pieces)
     best_width, best_bound = width, bound_at(width)
@@ -311,20 +379,28 @@ class TestSharpMidpointBound:
         assert met > 0
 
 
+def random_quadrature_instances(seed, count):
+    """(f, g, y, tol, on_knot) for sin(3x) + x^2 under the three moduli in
+    turn, against a random mixed integrator g, with y on one of g's knots
+    past a in every other instance (where g has an inner knot) and tol one
+    of 1e-2, 1e-4 and 1e-7."""
+    rng = sampling.make_rng(seed)
+    moduli = (Lipschitz(9.0), Hoelder(13.0, 0.5), Sampled(512, 1.5))
+    for i in range(count):
+        interval = sampling.random_interval(rng)
+        lin = sampling.random_piecewise_linear(rng, interval)
+        g = BVFunction(sampling.random_step(rng, interval), lin)
+        f = IntegrandSpec(parse("sin(3*x) + x^2"), interval, moduli[i % 3])
+        on_knot = i % 2 == 0 and len(lin.xs) > 2
+        y = float(rng.choice(lin.xs[1:])) if on_knot else sampling.random_upper_limit(rng, interval)
+        yield f, g, y, float(rng.choice([1e-2, 1e-4, 1e-7])), on_knot
+
+
 class TestQuadratureKernel:
     def test_single_limit_matches_per_piece_reference_bit_for_bit(self):
-        rng = sampling.make_rng(1717)
-        moduli = (Lipschitz(9.0), Hoelder(13.0, 0.5), Sampled(512, 1.5))
         seen = set()
-        for i in range(45):
-            interval = sampling.random_interval(rng)
-            lin = sampling.random_piecewise_linear(rng, interval)
-            g = BVFunction(sampling.random_step(rng, interval), lin)
-            modulus = moduli[i % 3]
-            f = IntegrandSpec(parse("sin(3*x) + x^2"), interval, modulus)
-            on_knot = i % 2 == 0 and len(lin.xs) > 2
-            y = float(rng.choice(lin.xs[1:])) if on_knot else sampling.random_upper_limit(rng, interval)
-            tol = float(rng.choice([1e-2, 1e-4, 1e-7]))
+        for f, g, y, tol, on_knot in random_quadrature_instances(1717, 45):
+            lin, modulus = g.linear, f.modulus
             value, bound, certified, message = quadrature_reference(f, lin, y, tol)
             jump = rs_jump_exact(f, g.step, y).value
             if message is None:
@@ -343,6 +419,63 @@ class TestQuadratureKernel:
         assert {(m, k) for m, k, _ in seen} == {
             (m, k) for m in ("Lipschitz", "Hoelder", "Sampled") for k in (True, False)}
         assert {met for _, _, met in seen} == {True, False}
+
+    def test_fitted_read_against_the_halving(self, monkeypatch):
+        """Wherever the earlier halving met tol, the fitted width meets it too,
+        and is at least half the halving's: at half its width, the halving's
+        own bound already charges every piece at least what the fitted rule
+        does. So the fitted read evaluates at most twice the midpoints, and
+        in all about three quarters of them."""
+        points = []
+        values_of = funcspec.integrand_values
+        monkeypatch.setattr(funcspec, "integrand_values",
+                            lambda f, xs: points.append(len(xs)) or values_of(f, xs))
+        met = {"halving": 0, "fitted": 0}
+        shares = {"Lipschitz": [], "Hoelder": [], "Sampled": []}
+        for f, g, y, tol, _ in random_quadrature_instances(1818, 300):
+            pieces = clipped_pieces_reference(g.linear, f.interval.a, y)
+            fitted, bound = reference_width(f, pieces, tol)
+            met["fitted"] += bound <= tol
+            width, bound = halving_width(f, pieces, tol)
+            if bound > tol:
+                continue
+            met["halving"] += 1
+            assert fitted >= width / 2.0
+            points.clear()
+            r = rs_pl_certified(f, g.linear, y, tol)
+            assert r.error_bound <= tol
+            halving_points = sum(max(1, math.ceil((hi - lo) / width)) for lo, hi, _ in pieces)
+            assert sum(points) <= 2 * halving_points
+            shares[type(f.modulus).__name__].append(sum(points) / halving_points)
+        assert met["fitted"] >= met["halving"] >= 150
+        # the halving's bound lands anywhere in (tol/2, tol], the fitted one near tol
+        assert all(np.mean(share) < 0.8 for share in shares.values())
+
+    def test_sampled_inverse_is_the_supremum(self):
+        """delta* = f._modulus_inverse(eps) for eps across the window
+        oscillations of seeded Sampled specs: the modulus there is within
+        eps, and at the next float beyond it; below the one-cell oscillation,
+        delta* lies just under one grid cell, where the bound is 0."""
+        rng = sampling.make_rng(1919)
+        for _ in range(6):
+            interval = sampling.random_interval(rng)
+            a, w = (float(v) for v in rng.uniform([0.5, 2.0], [2.0, 9.0]))
+            f = IntegrandSpec(parse(f"{a!r}*sin({w!r}*x) + x^2"), interval,
+                              Sampled(int(rng.integers(64, 1024)), 1.5))
+            cell = interval.length / f.modulus.resolution
+            levels = sorted({f.modulus_at(min(k * cell, interval.length))
+                             for k in range(1, f.modulus.resolution + 1)})
+            for eps in levels[:-1] + [(lo + hi) / 2.0 for lo, hi in zip(levels, levels[1:])]:
+                delta = f._modulus_inverse(eps)
+                assert 0.0 < delta < interval.length
+                assert f.modulus_at(delta) <= eps < f.modulus_at(math.nextafter(delta, math.inf))
+            assert f._modulus_inverse(levels[-1]) == interval.length
+            delta = f._modulus_inverse(levels[0] / 2.0)
+            assert f.modulus_at(delta) == 0.0 and cell * (1.0 - 1e-6) < delta < cell
+            # the zero-bound regime: a bound of 0, not met and not certified, never a raise
+            r = rs_pl_certified(f, PiecewiseLinear(((interval.a, 0.0), (interval.b, 1.0))),
+                                interval.b, 1e-12)
+            assert (r.error_bound, r.certified) == (0.0, False)
 
     def test_curve_bound_meets_tol_at_every_point(self):
         rng = sampling.make_rng(50)
@@ -365,18 +498,22 @@ class TestQuadratureKernel:
         f = IntegrandSpec(parse("sin(x)"), UNIT, Lipschitz(1.0))
         with pytest.raises(ToleranceNotReached) as err:
             curve(f, IDENTITY, [0.25, 0.5, 1.0], tol=1e-13)
-        value, bound, _, message = quadrature_reference(f, IDENTITY, 1.0, 1e-13)
-        assert str(err.value) == message
-        assert abs(err.value.value - value) <= 1e-15
+        # the budget width depends on the number of cells, three here
+        values, bounds = curve_reference(f, IDENTITY, [0.25, 0.5, 1.0], 1e-13)
+        assert str(err.value) == (
+            f"tolerance 1e-13 unreachable within the refinement cap; best bound {bounds[-1]}")
+        assert (err.value.value.hex(), err.value.error_bound.hex()) == (values[-1].hex(), bounds[-1].hex())
         assert err.value.error_bound > 1e-13
 
-    # (knots on [0, 1], flat pieces, the width the refinement should end at)
+    # (knots on [0, 1], flat pieces, a width whose bound, times 1.1, is tol);
+    # the midpoint counts below are those of the three moduli's fitted widths
     READ_SHAPES = {
-        # 32 equal cells of 2048 midpoints: a run cut into blocks of whole rows
+        # 32 equal cells of 1025-1862 midpoints: a run cut into blocks of whole rows
         "equal": (np.arange(33) / 32.0, (), 1.0 / 32.0 / 2**11),
-        # 2^14 midpoints on [0, 0.25], then 30 cells of 1639: blocks of 9, 9, 9 and 3 rows
+        # 13546-16385 midpoints on [0, 0.25] (one row over the block size when
+        # Sampled), then 30 cells of 1355-1639: blocks of 9-12 rows
         "uneven": (np.append(0.0, np.append(0.25 + 0.025 * np.arange(30), 1.0)), (), 0.25 / 2**14),
-        # 2^15 midpoints on [0, 0.9]: one row over the block size
+        # 27082-29790 midpoints on [0, 0.9]: one row over the block size
         "long": (np.array([0.0, 0.9, 1.0]), (), 0.9 / 2**15),
         # ten cells of length 1e-6 get one midpoint each, around a flat one
         "short": (np.concatenate(([0.0], 0.5 + 1e-6 * np.arange(11), [1.0])), (3,), 0.5 / 2**10),
@@ -418,6 +555,10 @@ class TestQuadratureKernel:
         f = IntegrandSpec(parse(SMOOTH), UNIT, Lipschitz(12.0))
         value, bound, _, message = quadrature_reference(f, lin, 1.0, 1e-13)
         assert message is not None
+        # the width is the sum of the lengths over (budget - cells), which
+        # leaves each cell at most one midpoint short of its share
+        pieces = clipped_pieces_reference(lin, 0.0, 1.0)
+        assert midpoint_counts(f, pieces, 1e-13) == [EVALUATION_BUDGET // 32 - 1] * 32
         with pytest.raises(ToleranceNotReached) as err:
             rs_pl_certified(f, lin, 1.0, 1e-13)
         assert str(err.value) == message
@@ -434,25 +575,31 @@ class TestQuadratureKernel:
         assert [v.hex() for v in c.error_bounds.tolist()] == [v.hex() for v in bounds]
 
     def test_undefined_midpoint_is_reported_at_the_leftmost(self):
-        # 8 midpoints on [0, 0.5], then 4 on [0.5, 0.7]: the poles at the
+        # 5 midpoints on [0, 0.5], then 2 on [0.5, 0.7]: the poles at the
         # second midpoint of each, so a read of the second cell first would
-        # name 0.6749999999999999
+        # name 0.6499999999999999
         g = PiecewiseLinear(((0, 0), (0.5, 1), (0.7, 2), (1, 2)))
-        f = IntegrandSpec(parse("1/(x-0.09375) + 1/(x-0.6749999999999999)"), UNIT, Lipschitz(1.0))
-        assert midpoint_counts(f, clipped_pieces_reference(g, 0.0, 0.7), 0.05) == [8, 4]
-        with pytest.raises(EvaluationError, match=r"^expression undefined at x=0\.09375$"):
+        f = IntegrandSpec(parse("1/(x-0.15000000000000002) + 1/(x-0.6499999999999999)"), UNIT,
+                          Lipschitz(1.0))
+        assert midpoint_counts(f, clipped_pieces_reference(g, 0.0, 0.7), 0.05) == [5, 2]
+        with pytest.raises(EvaluationError, match=r"^expression undefined at x=0\.15000000000000002$"):
             rs_pl_certified(f, g, 0.7, 0.05)
 
     def test_workload_shaped_read_counts(self, monkeypatch):
-        """32 equal sloped cells of 2048 midpoints and two jumps: the points
-        are read in whole blocks, the same points as the per-piece loop, and
-        omega is asked once per distinct delta of each of that loop's rounds."""
+        """32 equal sloped cells and two jumps, with tol 1.5 times the bound
+        at 2048 midpoints a cell, as in the integrate benchmark: the fitted
+        width gives each cell ceil(2048 / 1.5) = 1366 midpoints where the
+        halving gave 2048; the points are read in whole blocks, the same
+        points as the per-piece loop, and omega is asked once per distinct
+        delta."""
         lin = random_slopes_pl(sampling.make_rng(2427), np.arange(33) / 32.0)
         g = BVFunction(StepFunction(UNIT, (0.3, 0.6), (0.0, 0.05, -0.02), -0.02), lin)
         f = IntegrandSpec(parse(SMOOTH), UNIT, Lipschitz(12.0))
         pieces = clipped_pieces_reference(lin, 0.0, 1.0)
         tol = 1.5 * reference_bound(f, pieces, 1.0 / 32.0 / 2**11)
-        assert midpoint_counts(f, pieces, tol) == [2048] * 32
+        n = 1366
+        assert midpoint_counts(f, pieces, tol) == [n] * 32
+        assert halving_width(f, pieces, tol)[0] == 1.0 / 32.0 / 2**11
 
         reference_deltas = []
         monkeypatch.setitem(globals(), "integrand_modulus",
@@ -469,8 +616,9 @@ class TestQuadratureKernel:
             monkeypatch.setattr(module, "integrand_values", values_spy)
         monkeypatch.setattr(funcspec, "integrand_modulus", lambda f, d: deltas.append(d) or modulus_of(f, d))
         rs_bv(f, g, 1.0, tol)
-        assert len(points) <= 1 + math.ceil(32 * 2048 / funcspec._BLOCK_POINTS)
-        assert sum(points) == 2 + 32 * 2048
+        assert len(points) <= 1 + math.ceil(32 * n / funcspec._BLOCK_POINTS)
+        assert sum(points) == 2 + 32 * n
+        assert deltas == [1.0 / 32.0 / n / 4.0]
         assert reference_deltas == [d for d in deltas for _ in range(32)]
 
 
