@@ -10,10 +10,12 @@ jump extraction, total variation and the Jordan split into non-decreasing
 parts are all read off the representation exactly; the only sampled (inexact)
 operation is ``sampled_total_variation``, a lower-bound diagnostic. As an
 integrand, PiecewiseLinear implements the protocol described in funcspec,
-with an exact modulus, exact extremes (RangeBounds) and exact cell integrals
-(_exact_cells, the one cell formula it shares with BVFunction.cell_integrals,
-whose cell grid _cell_read positivity's measure integrals also read). Every
-function's scalar evaluate is its evaluate_array at one point (_PointRead).
+with an exact modulus, itself as its exact form (pl_form; a BVFunction's is
+its linear part shifted by the step level, when the step part has no jump)
+and exact cell integrals (_exact_cells, the one cell formula it shares with
+BVFunction.cell_integrals, whose cell grid _cell_read positivity's measure
+integrals also read). Every function's scalar evaluate is its evaluate_array
+at one point (_PointRead).
 """
 
 from __future__ import annotations
@@ -99,19 +101,6 @@ class Interval:
             raise DomainError(
                 f"[{c}, {d}] is not a sub-interval of [{self.a}, {self.b}]"
             )
-
-
-@dataclass(frozen=True)
-class RangeBounds:
-    """Extremes of a continuous integrand on [c, d]: the sampled ones, and
-    enclosing bounds that are certified unless a heuristic modulus padded
-    them (for a piecewise-linear function all four are the exact extremes)."""
-
-    min_sample: float
-    max_sample: float
-    lower: float
-    upper: float
-    certified: bool
 
 
 class _PointRead:
@@ -393,7 +382,7 @@ class PiecewiseLinear(_PointRead):
 
     # -- the integrand protocol (shared with funcspec.IntegrandSpec) ---------
 
-    heuristic = False  # values, modulus and range are all exact
+    heuristic = False  # values, modulus and form are all exact
 
     def modulus_at(self, delta: float) -> float:
         """Exact modulus of continuity: the steepest |slope| times delta."""
@@ -409,11 +398,6 @@ class PiecewiseLinear(_PointRead):
         cuts, slopes = _cells(lin, ys, self.xs)
         u = self.evaluate_array(cuts)
         return _exact_cells(cuts, slopes, u[:-1], u[1:])
-
-    def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
-        """Exact extremes on [c, d]; grid_size is not consulted."""
-        lo, hi = self.min_value(c, d), self.max_value(c, d)
-        return RangeBounds(lo, hi, lo, hi, True)
 
 
 @dataclass(frozen=True)
@@ -487,6 +471,14 @@ class BVFunction(_PointRead):
         for col in (pts, left, right):
             col.flags.writeable = False
         return StructuralProfile(pts, left, right)
+
+    def pl_form(self) -> PiecewiseLinear | None:
+        """The integrand protocol's exact form (see funcspec): the linear
+        part shifted by the step level, or None when the step part jumps."""
+        level = self.step.piece_values[0].item()
+        if self.step.breakpoints.size or self.step.end_value != level:
+            return None
+        return self.linear.shifted(level)
 
     def cell_integrals(self, lin: PiecewiseLinear, ys: np.ndarray,
                        tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:

@@ -10,18 +10,19 @@ a Sampled modulus is an empirical estimate and is flagged heuristic wherever
 it contributes.
 
 IntegrandSpec and bv_core.PiecewiseLinear (and BVFunction, for the cell
-read) implement one integrand protocol, which is all the other layers ask of
-a continuous integrand: ``interval``, ``evaluate_array`` (the point values,
-and the one read at jumps), ``cell_integrals(lin, ys, tol)`` (the cuts of
-the cells of [a, ys[-1]] against a piecewise-linear integrator lin, the
-integral on each cell, the terms of its bound, and whether they are
-certified), and, for the witness gate, the easy-case detectors and the
-brute-force oracle, ``modulus_at(delta)``, ``heuristic``, ``pl_form()`` (an
-exact piecewise-linear form, or None) and ``enclose(c, d)`` (a RangeBounds
-on [c, d]). An IntegrandSpec answers cell_integrals exactly through its
-affine form, and otherwise with _quadrature, the certified midpoint
-quadrature, which charges a sub-cell of width h only h * omega(h/4): a
-certified (non-heuristic) modulus must be concave in delta. It works its
+read and the exact form) implement one integrand protocol, which is all the
+other layers ask of a continuous integrand: ``interval``, ``evaluate_array``
+(the point values, and the one read at jumps), ``cell_integrals(lin, ys,
+tol)`` (the cuts of the cells of [a, ys[-1]] against a piecewise-linear
+integrator lin, the integral on each cell, the terms of its bound, and
+whether they are certified), ``pl_form()`` (an exact piecewise-linear form,
+or None: the one read behind every positive-half statement, f's range
+included, and every "must be piecewise linear" check), and, for the
+brute-force oracle, ``modulus_at(delta)`` and ``heuristic``. An
+IntegrandSpec answers cell_integrals exactly through its affine form, and
+otherwise with _quadrature, the certified midpoint quadrature, which
+charges a sub-cell of width h only h * omega(h/4): a certified
+(non-heuristic) modulus must be concave in delta. It works its
 midpoint width out from tol in one step, through the inverse of the modulus
 (closed-form for Lipschitz and Hoelder, a search over the grid's window
 widths for Sampled), instead of halving toward it. It reads the
@@ -60,8 +61,8 @@ from typing import Union
 
 import numpy as np
 
-from .bv_core import (ConstructionError, DomainError, Interval, PiecewiseLinear, RangeBounds,
-                      _PointRead, _cells, _running_sum)
+from .bv_core import (ConstructionError, DomainError, Interval, PiecewiseLinear, _PointRead,
+                      _cells, _running_sum)
 
 __all__ = [
     "ParseError",
@@ -715,21 +716,6 @@ class IntegrandSpec(_PointRead):
         if self._exact is None:
             return _quadrature(self, lin, ys, tol)
         return self._exact.cell_integrals(lin, ys, tol)
-
-    def enclose(self, c: float, d: float, grid_size: int = 513) -> RangeBounds:
-        """min/max samples on [c, d], padded by omega(mesh/2) into bounds
-        that are certified unless the modulus is heuristic: every point of
-        [c, d] lies within mesh/2 of a sample."""
-        self.interval.require_subinterval(c, d)
-        if grid_size < 2:
-            raise DomainError("grid_size must be at least 2")
-        if c == d:
-            v = self.evaluate(c)
-            return RangeBounds(v, v, v, v, not self.heuristic)
-        vals = self.evaluate_array(np.linspace(c, d, grid_size))
-        pad = self.modulus_at((d - c) / (grid_size - 1) / 2.0)  # half the mesh
-        lo, hi = float(vals.min()), float(vals.max())
-        return RangeBounds(lo, hi, lo - pad, hi + pad, not self.heuristic)
 
 
 def _window_oscillation(values: np.ndarray, width: int) -> float:

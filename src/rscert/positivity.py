@@ -4,8 +4,9 @@ machinery that explains why one must exist for bounded-variation integrands.
 The integrators here have finitely many pieces, so the witness search reads
 one exact curve from the support edge on and takes its witness in the piece
 that holds the edge, where g first jumps up or rises against a positive
-integrand. Two public detectors (g jumps off zero; g has only moved
-upward so far) state the named cases on their own.
+integrand. Two public detectors (g jumps off zero; g has only moved upward
+so far) state the named cases on their own. Every statement about f is read
+off its exact piecewise-linear form (pl_form).
 The measure-theoretic side is a per-instance verifier: the |integral of
 g df| bound, the variation measure of a piecewise-linear f reweighted by
 1/f (WeightedMeasure), and a discrete Groenwall checker that exhibits, on
@@ -108,17 +109,18 @@ class WeightedMeasure:
         return _running_sum(steps[cuts[:-1] >= c])[-1].item()
 
 
-def _measure_steps(f: PiecewiseLinear, slopes: np.ndarray, x0: np.ndarray, x1: np.ndarray,
+def _measure_steps(f: PiecewiseLinear, s: np.ndarray, x0: np.ndarray, x1: np.ndarray,
                    u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """|slope| * integral over [x0, x1] of u(x)/f(x) dx on each cell, where
-    f has that slope and u runs affinely from u0 to u1."""
+    """|s| * integral over [x0, x1] of u(x)/f(x) dx on each cell, where f has
+    the stored slope s and u runs affinely from u0 to u1."""
     span = x1 - x0
     f0, f1 = f.evaluate_array(x0), f.evaluate_array(x1)
-    # math.log1p: np.log1p differs from it in the last bit for some inputs
-    log_term = np.fromiter(map(math.log1p, ((f1 - f0) / f0).tolist()), float, len(f0))
+    # s, not (f1 - f0) / span, which carries a rounding error of f's size,
+    # and s in the logarithm too, or the closed form's two terms read two
+    # slopes and cancel badly; math.log1p: np.log1p differs in the last bit
+    log_term = np.fromiter(map(math.log1p, (s * span / f0).tolist()), float, len(f0))
     with np.errstate(divide="ignore", invalid="ignore"):
         m = (u1 - u0) / span
-        s = (f1 - f0) / span
         u_mid = 0.5 * (u0 + u1)
         f_mid = 0.5 * (f0 + f1)
         simpson = span / 6.0 * (u0 / f0 + 4.0 * u_mid / f_mid + u1 / f1)
@@ -128,7 +130,7 @@ def _measure_steps(f: PiecewiseLinear, slopes: np.ndarray, x0: np.ndarray, x1: n
     # Simpson is accurate to O((s*span/f0)^3) there; an empty cell (a
     # midpoint that rounds onto x0) is flat too, and its Simpson term is 0
     flat = ~(np.abs(s) * span >= 1e-6 * f0)
-    return np.abs(slopes) * np.where(flat, simpson, closed)
+    return np.abs(s) * np.where(flat, simpson, closed)
 
 
 def pl_times_step(f: PiecewiseLinear, g: StepFunction) -> BVFunction:
@@ -193,17 +195,14 @@ def support_edge(g: BVFunction) -> float | None:
     return x0 + (float(prof.points[k + 1]) - x0) * (0.0 - v0) / (v1 - v0)
 
 
-ENCLOSE_GRID = 1025  # samples of f's certified enclosure in the two detectors
-
-
 def detect_case1(g, f) -> PositivityWitness | None:
     """Witness just past the support edge when the integrator jumps off zero.
 
     If the right limit at the support edge x_L is positive, y = x_L + eps
     (eps half the gap to the next structural point) works, with lower bound
-    pos(y) * (certified min of f near x_L) - neg(y) * (certified max of f
-    near x_L). Returns None when no certified positive bound emerges, in
-    particular whenever f carries only a heuristic modulus.
+    pos(y) * (min of f near x_L) - neg(y) * (max of f near x_L), both read
+    off f's exact piecewise-linear form. Returns None when no certified
+    positive bound emerges, in particular whenever f has no such form.
     """
     g = as_bv_function(g)
     edge = support_edge(g)
@@ -220,11 +219,11 @@ def detect_case1(g, f) -> PositivityWitness | None:
     pair = jordan_decompose(g)
     pos_y = pair.pos.evaluate(y)
     neg_y = pair.neg.evaluate(y)
-    window_lo = max(g.interval.a, edge - eps)
-    bounds = f.enclose(window_lo, y, ENCLOSE_GRID)
-    if not bounds.certified:
+    f_pl = f.pl_form()
+    if f_pl is None:
         return None
-    lower = pos_y * bounds.lower - neg_y * bounds.upper
+    window_lo = max(g.interval.a, edge - eps)
+    lower = pos_y * f_pl.min_value(window_lo, y) - neg_y * f_pl.max_value(window_lo, y)
     if lower > slack(lower):
         return PositivityWitness(y, lower, "case1")
     return None
@@ -234,7 +233,8 @@ def detect_case2(f, g, y: float) -> PositivityWitness | None:
     """Witness at y when the integrator has only moved upward so far.
 
     With the minimal Jordan split, neg(y) = 0 and pos(y) > 0 give the lower
-    bound pos(y) * min of f on [a, y]; the minimum must be certified."""
+    bound pos(y) * min of f on [a, y], read off f's exact piecewise-linear
+    form; None when f has no such form."""
     g = as_bv_function(g)
     if not (g.interval.a < y <= g.interval.b):
         raise DomainError(f"y={y!r} outside ({g.interval.a}, {g.interval.b}]")
@@ -244,10 +244,13 @@ def detect_case2(f, g, y: float) -> PositivityWitness | None:
     pos_y = pair.pos.evaluate(y)
     if not pos_y > 0.0:
         return None
-    bounds = f.enclose(g.interval.a, y, ENCLOSE_GRID)
-    if not bounds.certified or not bounds.lower > 0.0:
+    f_pl = f.pl_form()
+    if f_pl is None:
         return None
-    lower = pos_y * bounds.lower
+    f_min = f_pl.min_value(g.interval.a, y)
+    if not f_min > 0.0:
+        return None
+    lower = pos_y * f_min
     if lower > slack(lower):
         return PositivityWitness(y, lower, "case2")
     return None
@@ -258,18 +261,18 @@ def detect_case2(f, g, y: float) -> PositivityWitness | None:
 # ---------------------------------------------------------------------------
 
 
-def gdf_bound_check(f: PiecewiseLinear, g, y: float) -> tuple[float, float]:
+def gdf_bound_check(f, g, y: float) -> tuple[float, float]:
     """Both sides of |int_a^y g df| <= int_[a,y) f*g dmu, computed exactly.
 
     With mu the variation measure of f weighted by 1/f, the right side
     collapses to the integral of g against |slope of f| dx. Both sides are
     read off the same cell terms of int g df (rs_pl_integrator_exact): the
-    left side sums them, the right side sums their absolute values. Requires
-    f certifiably positive and g non-negative.
+    left side sums them, the right side sums their absolute values. f is read
+    through its exact piecewise-linear form, which must be certifiably
+    positive, and g must be non-negative.
     """
     g = as_bv_function(g)
-    if not isinstance(f, PiecewiseLinear):
-        raise PreconditionError("the integrand must be piecewise linear here")
+    f = _exact_form(f)
     if not f.min_value() > 0.0:
         raise PreconditionError("f must be certifiably positive", reason="positivity")
     if not _structurally_nonnegative(g):
@@ -346,9 +349,9 @@ def _structurally_nonnegative(g: BVFunction) -> bool:
 def find_positive_y(f, g) -> PositivityWitness:
     """Find y with a certified positive integral of f dg up to y.
 
-    Preconditions are enforced: f piecewise linear or affine (a
-    bounded-variation integrand with an exact piecewise-linear form) and
-    positive, g non-negative with g(a) = 0 and not identically zero. The
+    Preconditions are enforced: f has a positive exact piecewise-linear form
+    (pl_form; without one, reason no_bv_coverage), g is non-negative with
+    g(a) = 0 and not identically zero. The
     search takes no configuration. Every statement about g itself is a query
     on one read of its structural profile (BVFunction.profile).
 
@@ -434,63 +437,48 @@ def _exact_form(f) -> PiecewiseLinear:
 def positive_interval(f, g, witness: PositivityWitness) -> Interval:
     """A closed interval [c, d] on which the integral stays positive.
 
-    c is the witness point. The integrand must be piecewise linear or affine
-    (it is read through the exact curve of f itself), and the function takes
-    no configuration. For a pure-jump (right-continuous) integrator the
-    cumulative integral is constant between jumps, so d extends to the
-    midpoint of the last constant stretch that stays above half the witness
-    bound (reaching b itself when no later jump drags it down). For sloped
-    integrators d stops conservatively at the last structural point whose
-    whole approach stays above the threshold.
+    c is the witness point, where the integral must clear half the witness
+    bound. f must have an exact piecewise-linear form (the curve reads f
+    itself). d runs through g's structural points after c while the integral
+    and its left limit stay above that threshold; it stops at the midpoint
+    before a point where only the jump fails, else at the last good point (b
+    when none fails).
     """
     g = as_bv_function(g)
     _exact_form(f)  # the no_bv_coverage gate
-    j = curve(f, g, g.profile.points[1:])
+    j = curve(f, g, _sorted_union(g.profile.points[1:], [witness.y]))
     return _positive_stretch(g, j, witness)
 
 
 def _positive_stretch(g: BVFunction, j: IntegralCurve, witness: PositivityWitness) -> Interval:
     """positive_interval read off an exact curve of f dg (a piecewise-linear
-    f) whose points include every structural point of g after the witness."""
-    a, b = g.interval.a, g.interval.b
+    f) whose points include the witness, so the curve has checked that it
+    lies in (a, b], and every structural point of g after it."""
+    b = g.interval.b
     c = witness.y
-    if not (a < c <= b):
-        raise DomainError(f"witness point {c!r} outside ({a}, {b}]")
     if c == b:
         raise PreconditionError(
             "the witness sits at the right endpoint; no interval extends past it",
             reason="degenerate",
         )
     threshold = witness.lower_bound / 2.0
-    later = j.ys > c
-
-    if g.linear.is_constant():
-        # J is right-continuous and constant between the jumps of g
-        i = int(np.searchsorted(j.ys, c, side="right"))  # curve points at or before c
-        if not (j.values[i - 1] if i else 0.0) > threshold:
-            raise InternalInconsistencyError(
-                "the integral at the witness fell below the witness bound"
-            )
-        after = later & j.at_jump
-        qs = j.ys[after]
-        drops = np.flatnonzero(~(j.values[after] > threshold))
-        if not drops.size:
-            return Interval(c, b)  # positive through the right endpoint
-        k = int(drops[0])
-        lo = float(qs[k - 1]) if k else c
-        return Interval(c, 0.5 * (lo + float(qs[k])))  # stop strictly before the drop
-
-    # sloped integrator: between structural points J is monotone (the
-    # integrand is positive and each g-piece has one slope sign), so
-    # endpoint and left-limit checks certify whole stretches
-    at = later & np.isin(j.ys, g.profile.points, assume_unique=True)
-    qs = j.ys[at]
-    good = (j.values[at] > threshold) & (j.values[at] - j.jumps[at] > threshold)
-    fails = np.flatnonzero(~good)
-    k = int(fails[0]) if fails.size else len(qs)
-    if k == 0:
-        raise PreconditionError(
-            "cannot certify any stretch past the witness on this sloped "
-            "integrator", reason="degenerate",
+    if not j.values[np.searchsorted(j.ys, c)] > threshold:
+        raise InternalInconsistencyError(
+            "the integral at the witness fell below the witness bound"
         )
-    return Interval(c, float(qs[k - 1]))
+    # between structural points J is monotone (the integrand is positive and
+    # each g-piece has one slope sign, or none), so the value and the left
+    # limit J(q-) = values - jumps at each one certify whole stretches
+    at = (j.ys > c) & np.isin(j.ys, g.profile.points, assume_unique=True)
+    qs, values = j.ys[at], j.values[at]
+    lefts = values - j.jumps[at]
+    fails = np.flatnonzero(~((values > threshold) & (lefts > threshold)))
+    if not fails.size:
+        return Interval(c, b)  # positive through the right endpoint
+    k = int(fails[0])
+    lo = float(qs[k - 1]) if k else c
+    if lefts[k] > threshold:  # only the jump at qs[k] drags it down
+        return Interval(c, 0.5 * (lo + float(qs[k])))  # stop strictly before the drop
+    if not k:
+        raise PreconditionError("no stretch past the witness is certified", reason="degenerate")
+    return Interval(c, lo)

@@ -166,25 +166,17 @@ def _pl_integrator_terms(values_of, f: PiecewiseLinear, y: float) -> np.ndarray:
     return values_of.cell_integrals(f, np.array([y]), DEFAULT_TOL)[1]
 
 
-def _as_pure_pl(f) -> PiecewiseLinear:
-    if isinstance(f, PiecewiseLinear):
-        return f
-    if isinstance(f, BVFunction):
-        level = f.step.piece_values[0].item()
-        if f.step.breakpoints.size or f.step.end_value != level:
-            raise DomainError("integration by parts needs a continuous (pure PL) integrand")
-        return f.linear.shifted(level)
-    raise TypeError("integration by parts needs a piecewise-linear integrand")
-
-
 def integration_by_parts_residual(f, g, y: float, tol: float = DEFAULT_TOL) -> float:
     """|int f dg + int g df - (f(y)g(y) - f(a)g(a))| for a continuous BV f.
 
-    Both integrals are computed by this module (the second side exactly, f
-    being piecewise linear); the residual is bounded by the combined error
-    bounds plus numeric slack.
+    f is read through its exact piecewise-linear form (pl_form), and an
+    integrand without one raises DomainError. Both integrals are computed by
+    this module (the second side exactly); the residual is bounded by the
+    combined error bounds plus numeric slack.
     """
-    f_pl = _as_pure_pl(f)
+    f_pl = f.pl_form()
+    if f_pl is None:
+        raise DomainError("integration by parts needs an exact piecewise-linear integrand")
     g = as_bv_function(g)
     _require_upper_limit(g.interval, y)
     f_dg = rs_bv(f_pl, g, y, tol)

@@ -233,6 +233,12 @@ class TestPiecewiseLinear:
             f = PiecewiseLinear(((0.0, s), (0.4, s + 1.0), (1.0, s + 0.25)))
             assert f.total_variation(0.13, 0.73) == 1.0875, k
 
+    def test_extremes_on_a_subinterval(self):
+        # the exact range the positive half reads: the ends and the knots between
+        f = PiecewiseLinear(((0.0, 1.0), (0.5, 3.0), (1.0, 0.5)))
+        assert f.min_value(0.25, 0.75) == f.evaluate(0.75) == 1.75
+        assert f.max_value(0.25, 0.75) == 3.0
+
     def test_vee_shape_variation(self):
         f = PiecewiseLinear(((0.0, 0.5), (0.5, 0.0), (1.0, 0.5)))
         assert f.total_variation(0.0, 1.0) == pytest.approx(1.0)
@@ -310,8 +316,7 @@ class TestStoredColumns:
                      h.left_limit(1.0), h.right_limit(0.0), h.right_limit(0.75),
                      h.total_variation(), h.total_variation(0.2, 0.6)]
             assert all(type(v) is float for v in reads), h
-        reads = [f.min_value(), f.max_value(0.1, 0.2), f.modulus_at(0.01),
-                 f.enclose(0.0, 1.0).lower]
+        reads = [f.min_value(), f.max_value(0.1, 0.2), f.modulus_at(0.01)]
         assert all(type(v) is float for v in reads)
 
     def test_equality_fails_when_any_one_element_differs(self):
@@ -630,6 +635,15 @@ class TestBVFunction:
     def test_structural_points_sorted_unique(self):
         g = BVFunction(brick(0.5, 1.0), PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))))
         assert g.structural_points() == (0.0, 0.5, 1.0)
+
+    def test_pl_form_without_a_jump(self):
+        lin = PiecewiseLinear(((0.0, 1.0), (0.4, 0.25), (1.0, 2.0)))
+        level = BVFunction(StepFunction.constant(UNIT, 0.5), lin)
+        assert level.pl_form() == lin.shifted(0.5)
+        assert BVFunction.from_linear(lin).pl_form() == lin
+        assert BVFunction(brick(0.5, 1.0), lin).pl_form() is None
+        # a jump at b alone (the end value) leaves no continuous form either
+        assert BVFunction(StepFunction(UNIT, (), (0.0,), 1.0), lin).pl_form() is None
 
 
 

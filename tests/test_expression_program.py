@@ -367,7 +367,6 @@ class TestProgramLifetime:
         for n in (3, 65, 513):
             spec.evaluate_array(np.linspace(0.0, 1.0, n))
         spec.modulus_at(0.5)
-        spec.enclose(0.0, 1.0)
         assert built == [spec.expr]
         assert spec._program is program
 

@@ -354,17 +354,12 @@ class TestIntegrandProtocol:
         f = _protocol_integrands()[index]
         heuristic, exact = self.EXPECTED[index]
         for name in ("interval", "evaluate_array", "cell_integrals", "modulus_at", "heuristic",
-                     "pl_form", "enclose"):
+                     "pl_form"):
             assert hasattr(f, name), name
         assert f.interval == UNIT
         assert f.heuristic is heuristic
         assert f.modulus_at(0.25) >= 0.0
         assert (f.pl_form() is None) is not exact
-        bounds = f.enclose(0.2, 0.7)
-        assert bounds.certified is not heuristic
-        if exact:
-            pl = f.pl_form()
-            assert bounds.lower <= pl.min_value(0.2, 0.7) <= pl.max_value(0.2, 0.7) <= bounds.upper
         # against the identity, the cell integrals are integrals of f dx
         cuts, steps, terms, certified = f.cell_integrals(
             PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))), np.array([0.7]), 1e-6)
@@ -375,35 +370,6 @@ class TestIntegrandProtocol:
             assert not terms.any()
         if self.INTEGRALS[index] is not None:
             assert abs(steps.sum() - self.INTEGRALS[index]) <= terms.sum() + 1e-12
-
-
-class TestCheckPositive:
-    """Grid positivity on the whole interval, read off enclose."""
-
-    def test_constant_two_certified(self):
-        spec = spec_of("2", modulus=Lipschitz(0.0))
-        bounds = spec.enclose(0.0, 1.0, 16)
-        assert bounds.min_sample == 2.0
-        assert bounds.certified and bounds.lower > 0.0
-
-    def test_oscillating_integrand_grid_minimum(self):
-        f, _ = power_sine_family(0.5)
-        bounds = f.enclose(0.0, 1.0, 4097)
-        assert bounds.min_sample >= 1.0
-        assert bounds.min_sample == pytest.approx(1.536685997010431, rel=1e-10)
-        assert not bounds.certified  # Sampled modulus never certifies
-
-    def test_identity_not_certified_positive(self):
-        spec = spec_of("x", modulus=Lipschitz(1.0))
-        bounds = spec.enclose(0.0, 1.0, 64)
-        assert bounds.min_sample == 0.0
-        assert not (bounds.certified and bounds.lower > 0.0)
-
-    def test_positive_affine_certified(self):
-        spec = spec_of("x+1", modulus=Lipschitz(1.0))
-        bounds = spec.enclose(0.0, 1.0, 64)
-        assert bounds.certified and bounds.lower > 0.0
-        assert bounds.lower > 0.9
 
 
 class TestOscillationIdentity:
@@ -497,25 +463,3 @@ class TestExactFormFixedAtConstruction:
                 self.PL3, np.array([0.25, 0.95]), 1e-9)
             assert certified and not terms.any() and len(steps) == len(cuts) - 1
         assert built == []
-
-
-class TestIntegrandRange:
-    def test_pl_exact(self):
-        f = PiecewiseLinear(((0.0, 1.0), (0.5, 3.0), (1.0, 0.5)))
-        bounds = f.enclose(0.25, 0.75)
-        assert bounds.certified
-        assert bounds.lower == pytest.approx(f.evaluate(0.75))
-        assert bounds.upper == pytest.approx(3.0)
-
-    def test_expression_padded(self):
-        spec = spec_of("x", modulus=Lipschitz(1.0))
-        bounds = spec.enclose(0.0, 1.0, 11)
-        assert bounds.lower <= 0.0 <= bounds.min_sample
-        assert bounds.upper >= 1.0
-        assert bounds.certified
-
-    def test_pad_is_omega_of_half_the_mesh(self):
-        # every point lies within mesh/2 = 0.05 of one of the 11 samples
-        bounds = spec_of("x", modulus=Lipschitz(1.0)).enclose(0.0, 1.0, 11)
-        assert (bounds.min_sample, bounds.max_sample) == (0.0, 1.0)
-        assert (bounds.lower, bounds.upper) == (-0.05, 1.0 + 0.05)

@@ -19,6 +19,7 @@ from rscert.counterexample import build_counterexample, power_sine_family, POWER
 from rscert.positivity import (
     GronwallVerdict,
     InternalInconsistencyError,
+    PositivityWitness,
     PreconditionError,
     WeightedMeasure,
     detect_case1,
@@ -39,21 +40,21 @@ def const_pl(value, interval=UNIT):
     return PiecewiseLinear.constant(interval, value)
 
 
-def affine_ratio_reference(u, f, x0, x1):
-    """integral over [x0, x1] of u(x)/f(x) dx, both affine on the piece, by
-    the scalar closed form the vectorised cell terms replaced."""
+def affine_ratio_reference(u, f, x0, x1, s):
+    """integral over [x0, x1] of u(x)/f(x) dx, both affine on the piece and
+    f with the stored slope s there, by the scalar closed form the
+    vectorised cell terms replaced."""
     span = x1 - x0
     u0 = u.right_limit(x0)
     u1 = u.left_limit(x1)
     m = (u1 - u0) / span
     f0 = f.evaluate(x0)
     f1 = f.evaluate(x1)
-    s = (f1 - f0) / span
     if abs(s) * span < 1e-6 * f0:
         u_mid = 0.5 * (u0 + u1)
         f_mid = 0.5 * (f0 + f1)
         return span / 6.0 * (u0 / f0 + 4.0 * u_mid / f_mid + u1 / f1)
-    log_term = math.log1p((f1 - f0) / f0)
+    log_term = math.log1p(s * span / f0)
     return (m / s) * span + (u0 - m * f0 / s) * log_term / s
 
 
@@ -65,8 +66,8 @@ def weighted_integrate_reference(f, u, c, d):
         return 0.0
     total = 0.0
     xs = f.xs.tolist()
-    for lo, hi, dens in zip(xs, xs[1:], np.abs(f.slopes()).tolist()):
-        if dens == 0.0:
+    for lo, hi, s in zip(xs, xs[1:], f.slopes().tolist()):
+        if s == 0.0:
             continue
         seg_lo, seg_hi = max(lo, c), min(hi, d)
         if seg_hi <= seg_lo:
@@ -74,7 +75,7 @@ def weighted_integrate_reference(f, u, c, d):
         cuts = sorted({seg_lo, seg_hi}
                       | {x for x in u.structural_points() if seg_lo < x < seg_hi})
         for x0, x1 in zip(cuts, cuts[1:]):
-            total += dens * affine_ratio_reference(u, f, x0, x1)
+            total += abs(s) * affine_ratio_reference(u, f, x0, x1, s)
     return float(total)
 
 
@@ -293,6 +294,22 @@ class TestDetectCase2:
         assert detect_case2(f, g, 0.4) is None
 
 
+class TestDetectorsReadTheExactForm:
+    G = StepFunction(UNIT, (0.3,), (0.0, 1.0), 1.0)
+
+    def test_affine_spec_with_sampled_modulus_is_exact(self):
+        f = IntegrandSpec(parse("x+2"), UNIT, Sampled(256, 1.5))
+        w1 = detect_case1(self.G, f)
+        assert (w1.lower_bound, w1.method) == (2.0, "case1")  # f(0) on the window [0, y]
+        assert w1 == detect_case1(self.G, f.pl_form())
+        assert detect_case2(f, self.G, 0.5) == PositivityWitness(0.5, 2.0, "case2")
+
+    def test_no_exact_form_gives_nothing(self):
+        f = IntegrandSpec(parse("sin(x)+2"), UNIT, Lipschitz(1.0))
+        assert detect_case1(self.G, f) is None
+        assert detect_case2(f, self.G, 0.5) is None
+
+
 class TestGdfBound:
     def test_constant_g_on_increasing_f(self):
         f = PiecewiseLinear(((0.0, 1.0), (1.0, 2.0)))
@@ -330,6 +347,14 @@ class TestGdfBound:
         g = BVFunction.from_step(StepFunction(UNIT, (0.5,), (0.0, -1.0), -1.0))
         with pytest.raises(PreconditionError):
             gdf_bound_check(f, g, 1.0)
+
+    def test_reads_the_integrands_exact_form(self):
+        g = BVFunction.from_step(StepFunction(UNIT, (0.25, 0.5), (0.0, 1.0, 0.5), 0.5))
+        spec = IntegrandSpec(parse("1+x"), UNIT, Lipschitz(1.0))
+        assert gdf_bound_check(spec, g, 0.75) == gdf_bound_check(spec.pl_form(), g, 0.75)
+        with pytest.raises(PreconditionError) as err:
+            gdf_bound_check(IntegrandSpec(parse("sin(x)+2"), UNIT, Lipschitz(1.0)), g, 0.75)
+        assert err.value.reason == "no_bv_coverage"
 
     def test_positivity_precondition(self):
         f = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
@@ -426,6 +451,27 @@ class TestFindPositiveY:
         with pytest.raises(PreconditionError) as err:
             find_positive_y(f, BVFunction.from_step(g))
         assert err.value.reason == "no_bv_coverage"
+
+    def test_jumping_bv_integrand_lacks_coverage(self):
+        # 1 + chi_[0.5,1) jumps (where g does): no exact form
+        g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
+        f = BVFunction(StepFunction.brick(UNIT, 0.5, 1.0), const_pl(1.0))
+        for search in (lambda: find_positive_y(f, g),
+                       lambda: positive_interval(f, g, PositivityWitness(0.5, 1.0, "case2"))):
+            with pytest.raises(PreconditionError) as err:
+                search()
+            assert err.value.reason == "no_bv_coverage"
+
+    def test_continuous_bv_integrand_reads_its_exact_form(self):
+        # 1 + x, its level in the step part: the search reads its form
+        g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
+        lifted = BVFunction(StepFunction.constant(UNIT, 1.0),
+                            PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))))
+        w = find_positive_y(lifted, g)
+        assert w == find_positive_y(lifted.pl_form(), g)
+        assert (w.y, w.lower_bound, w.method) == (0.5, 1.0, "case2")
+        assert (w.interval.a, w.interval.b) == (0.5, 0.75)
+        assert positive_interval(lifted, g, w) == w.interval
 
     def test_affine_text_integrand_has_coverage(self):
         f = IntegrandSpec(parse("2"), UNIT, Lipschitz(0.0))
@@ -562,21 +608,37 @@ class TestPositiveInterval:
         assert iv.b == 1.0
 
     def test_interval_reverifies_pointwise(self):
-        rng = sampling.make_rng(959)
-        count = 0
-        for _ in range(100):
-            interval = sampling.random_interval(rng)
-            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
-            g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
-            w = find_positive_y(f, g)
-            if w.y >= interval.b:
-                continue
-            iv = positive_interval(f, g, w)
-            count += 1
-            for t in np.linspace(iv.a, iv.b, 12):
-                r = rs_jump_exact(f, g.step, float(t))
-                assert r.value > 0.0
-        assert count > 60
+        # pure-jump integrators, then sloped ones: a non-negative step, whose
+        # down-jumps can drag the integral down, plus a rising PL part
+        for sloped, seed in ((False, 959), (True, 960)):
+            rng = sampling.make_rng(seed)
+            count = inside = 0
+            for _ in range(100):
+                interval = sampling.random_interval(rng)
+                f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
+                g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
+                if sloped:
+                    lin = sampling.random_piecewise_linear(rng, interval, low=0.0, high=0.2)
+                    rise = np.cumsum(np.append(0.0, lin.ys[1:]))
+                    g = BVFunction(g.step, PiecewiseLinear(np.column_stack((lin.xs, rise))))
+                w = find_positive_y(f, g)
+                if w.y >= interval.b:
+                    continue
+                iv = positive_interval(f, g, w)
+                count += 1
+                # a midpoint strictly inside a stretch, before a jump-only drop
+                inside += iv.b not in g.structural_points()
+                for t in np.linspace(iv.a, iv.b, 12):
+                    assert rs_bv(f, g, float(t)).value > 0.0
+            assert count > 60
+            assert inside > 0
+
+    def test_witness_below_its_bound_is_refused(self):
+        # J(0.1) = g(0.1) = -0.8 on this sloped g, below half the bound 1.2
+        g = BVFunction(StepFunction(UNIT, (0.05,), (0.0, -1.0), -1.0),
+                       PiecewiseLinear(((0.0, 0.0), (1.0, 2.0))))
+        with pytest.raises(InternalInconsistencyError):
+            positive_interval(const_pl(1.0), g, PositivityWitness(0.1, 1.2, "scan"))
 
     def test_witness_at_right_end_rejected(self):
         f = const_pl(1.0)

@@ -782,8 +782,23 @@ class TestIntegrationByParts:
     def test_rejects_expression_integrand(self):
         f = IntegrandSpec(parse("sin(x)"), UNIT, Lipschitz(1.0))
         g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             integration_by_parts_residual(f, g, 0.75)
+
+    def test_reads_the_integrands_exact_form(self):
+        # an affine spec and a BVFunction whose step part does not jump are
+        # read through pl_form; a jumping one has no form and is refused
+        g = BVFunction.from_step(StepFunction(UNIT, (0.25, 0.5), (0.0, 1.0, 0.5), 0.5))
+        spec = IntegrandSpec(parse("0.5+2*x"), UNIT, Lipschitz(2.0))
+        lifted = BVFunction(StepFunction.constant(UNIT, 0.5),
+                            PiecewiseLinear(((0.0, 0.0), (1.0, 2.0))))
+        for f in (spec, lifted):
+            residual = integration_by_parts_residual(f, g, 0.75)
+            assert residual == integration_by_parts_residual(f.pl_form(), g, 0.75)
+            assert residual <= slack(2.5, g.total_variation())
+        jumping = BVFunction(StepFunction.brick(UNIT, 0.5, 1.0), IDENTITY)
+        with pytest.raises(DomainError):
+            integration_by_parts_residual(jumping, g, 0.75)
 
 
 class TestCurve:
