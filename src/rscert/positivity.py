@@ -112,25 +112,29 @@ class WeightedMeasure:
 def _measure_steps(f: PiecewiseLinear, s: np.ndarray, x0: np.ndarray, x1: np.ndarray,
                    u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """|s| * integral over [x0, x1] of u(x)/f(x) dx on each cell, where f has
-    the stored slope s and u runs affinely from u0 to u1."""
+    the stored slope s and u runs affinely from u0 to u1: with L = x1 - x0,
+    f0 = f(x0) and z = s * L / f0, it is (L / f0) * (u0 * phi1(z) + (u1 - u0)
+    * phi2(z)), phi1(z) = log1p(z) / z and phi2(z) = (z - log1p(z)) / z^2.
+    Below |z| = 0.05 both are read from their series, the sums of
+    (-z)^k / (k + 1) and (-z)^k / (k + 2), so no two terms cancel; an empty
+    cell (a midpoint that rounds onto x0) has z = 0 and gives 0.
+    """
     span = x1 - x0
-    f0, f1 = f.evaluate_array(x0), f.evaluate_array(x1)
-    # s, not (f1 - f0) / span, which carries a rounding error of f's size,
-    # and s in the logarithm too, or the closed form's two terms read two
-    # slopes and cancel badly; math.log1p: np.log1p differs in the last bit
-    log_term = np.fromiter(map(math.log1p, (s * span / f0).tolist()), float, len(f0))
+    f0 = f.evaluate_array(x0)
+    # s, not (f1 - f0) / span, which carries a rounding error of f's size
+    z = s * span / f0
+    # math.log1p, as a scalar loop over the cells reads it: np.log1p can
+    # differ in the last bit
+    log = np.fromiter(map(math.log1p, z.tolist()), float, len(z))
+    series1, series2 = np.zeros(len(z)), np.zeros(len(z))
+    for k in range(23, -1, -1):  # Horner, 24 terms: 0.05^24 is far below an ulp
+        series1 = 1.0 / (k + 1) - z * series1
+        series2 = 1.0 / (k + 2) - z * series2
+    near = np.abs(z) < 0.05
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = (u1 - u0) / span
-        u_mid = 0.5 * (u0 + u1)
-        f_mid = 0.5 * (f0 + f1)
-        simpson = span / 6.0 * (u0 / f0 + 4.0 * u_mid / f_mid + u1 / f1)
-        # int (u0 + m t)/(f0 + s t) dt over [0, span]
-        closed = (m / s) * span + (u0 - m * f0 / s) * log_term / s
-    # nearly flat denominator: the closed form cancels catastrophically, and
-    # Simpson is accurate to O((s*span/f0)^3) there; an empty cell (a
-    # midpoint that rounds onto x0) is flat too, and its Simpson term is 0
-    flat = ~(np.abs(s) * span >= 1e-6 * f0)
-    return np.abs(s) * np.where(flat, simpson, closed)
+        phi1 = np.where(near, series1, log / z)
+        phi2 = np.where(near, series2, (z - log) / (z * z))
+    return np.abs(s) * (span / f0 * (u0 * phi1 + (u1 - u0) * phi2))
 
 
 def pl_times_step(f: PiecewiseLinear, g: StepFunction) -> BVFunction:
@@ -272,9 +276,7 @@ def gdf_bound_check(f, g, y: float) -> tuple[float, float]:
     positive, and g must be non-negative.
     """
     g = as_bv_function(g)
-    f = _exact_form(f)
-    if not f.min_value() > 0.0:
-        raise PreconditionError("f must be certifiably positive", reason="positivity")
+    f = _positive_form(f)
     if not _structurally_nonnegative(g):
         raise PreconditionError("g must be non-negative", reason="sign")
     terms = _pl_integrator_terms(g, f, y)
@@ -383,11 +385,7 @@ def find_positive_y(f, g) -> PositivityWitness:
         raise PreconditionError("the integrator vanishes identically", reason="vanishing")
     # the integrand's exact piecewise-linear form gates the search and gives
     # f's minimum; the curve reads f itself
-    f_pl = _exact_form(f)
-    if not f_pl.min_value() > 0.0:
-        raise PreconditionError(
-            "the integrand's positivity is not certified", reason="positivity"
-        )
+    f_pl = _positive_form(f)
 
     pts = prof.points
     ys = pts[1:][pts[1:] >= edge]
@@ -423,7 +421,9 @@ def find_positive_y(f, g) -> PositivityWitness:
         return witness
 
 
-def _exact_form(f) -> PiecewiseLinear:
+def _positive_form(f) -> PiecewiseLinear:
+    """f's exact piecewise-linear form (pl_form), which must exist (reason
+    no_bv_coverage) and be certifiably positive (reason positivity)."""
     cover = f.pl_form()
     if cover is None:
         raise PreconditionError(
@@ -431,6 +431,8 @@ def _exact_form(f) -> PiecewiseLinear:
             "form; positivity is not guaranteed in this regime",
             reason="no_bv_coverage",
         )
+    if not cover.min_value() > 0.0:
+        raise PreconditionError("the integrand's positivity is not certified", reason="positivity")
     return cover
 
 
@@ -438,14 +440,15 @@ def positive_interval(f, g, witness: PositivityWitness) -> Interval:
     """A closed interval [c, d] on which the integral stays positive.
 
     c is the witness point, where the integral must clear half the witness
-    bound. f must have an exact piecewise-linear form (the curve reads f
+    bound. f must have a certifiably positive exact piecewise-linear form,
+    for J is then monotone between g's structural points (the curve reads f
     itself). d runs through g's structural points after c while the integral
     and its left limit stay above that threshold; it stops at the midpoint
     before a point where only the jump fails, else at the last good point (b
     when none fails).
     """
     g = as_bv_function(g)
-    _exact_form(f)  # the no_bv_coverage gate
+    _positive_form(f)  # the no_bv_coverage and positivity gates
     j = curve(f, g, _sorted_union(g.profile.points[1:], [witness.y]))
     return _positive_stretch(g, j, witness)
 

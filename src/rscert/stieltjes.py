@@ -1,14 +1,15 @@
 """Riemann-Stieltjes integration of continuous integrands against BV integrators.
 
-The step part of an integrator is handled exactly (integrand values times jump
-weights, one-sided at the interval ends). The piecewise-linear part is one
-running sum over a grid of cells up to the upper limits, with one integrator
-slope per cell; the integrand picks the cells and answers for each
-(cell_integrals, the integrand protocol of funcspec): exactly for a
-piecewise-linear or affine integrand, otherwise by the certified midpoint
-quadrature that now lives in funcspec, beside the moduli its bound reads.
-rs_bv reads the sum at one y and curve at many; a definitional
-Riemann-Stieltjes sum is an independent cross-check oracle.
+One cumulative kernel (_cumulative) gives J(y) = integral of f dg at several
+upper limits y: one running sum of the jump terms (integrand values times
+jump weights, one-sided at the interval ends) plus one running sum over a
+grid of cells, with one integrator slope per cell, whose terms the integrand
+answers (cell_integrals, the integrand protocol of funcspec): exactly for a
+piecewise-linear or affine integrand, otherwise by funcspec's certified
+midpoint quadrature. Both sums are added before tol is checked, so
+ToleranceNotReached carries the whole integral. rs_jump_exact,
+rs_pl_certified and rs_bv read the kernel at one y and curve at many; a
+definitional Riemann-Stieltjes sum is an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -77,52 +78,34 @@ def _require_upper_limit(interval, y: float) -> None:
 
 
 def rs_jump_exact(f, g: StepFunction | BVFunction, y: float) -> IntegralResult:
-    """Exact integral of f against a pure-jump integrator up to y.
-
-    Sums f(p) * w(p) over the jump points of g in [a, y]: full two-sided
-    jumps strictly inside, g(y) - left_limit(y) at y, and the (identically
-    zero, by right-continuity) right-side difference at a.
-    """
-    step = g.step if isinstance(g, BVFunction) else g
-    _require_upper_limit(step.interval, y)
-    points, weights = step.jumps_in(step.interval.a, y).T
-    if not len(points):
-        return IntegralResult(0.0, 0.0, True)
-    values = integrand_values(f, points)
-    return IntegralResult(float(values @ weights), 0.0, True)
+    """Exact integral of f against the step part of g up to y, the kernel
+    read at y: f(p) * w(p) summed in order over the jumps of g in [a, y],
+    full two-sided ones inside, g(y) - left_limit(y) at y, and the (zero, by
+    right-continuity) right-side difference at a."""
+    return _read_at(f, BVFunction.from_step(as_bv_function(g).step), y, DEFAULT_TOL)
 
 
 def rs_pl_certified(f, g: PiecewiseLinear, y: float, tol: float = DEFAULT_TOL) -> IntegralResult:
-    """Integral of f against a piecewise-linear integrator, with a bound.
-
-    The cumulative kernel (_linear_part) read at y: f's cell integrals
-    against g on [a, y], exact with bound 0 for a piecewise-linear or affine
-    f, otherwise funcspec's certified quadrature refined until its bound
-    meets tol, within the evaluation cap; failing that, ToleranceNotReached
-    carries the best achievable value and bound.
-    """
-    _require_upper_limit(g.interval, y)
-    values, bounds, certified = _linear_part(f, g, np.asarray([y]), tol)
-    return IntegralResult(float(values[0]), float(bounds[0]), certified)
+    """Integral of f against a piecewise-linear integrator with a bound, the
+    kernel read at y: exact with bound 0 for a piecewise-linear or affine f,
+    otherwise funcspec's certified quadrature refined until its bound meets
+    tol, within the evaluation cap; failing that, ToleranceNotReached
+    carries the best achievable value and bound."""
+    return _read_at(f, BVFunction.from_linear(g), y, tol)
 
 
 def rs_bv(f, g, y: float, tol: float = DEFAULT_TOL) -> IntegralResult:
-    """Integral of a continuous integrand against a general BV integrator.
+    """Integral of a continuous integrand against a general BV integrator,
+    the kernel read at y: exact on the step part plus certified quadrature
+    on the linear part, whose bound is the whole bound; ToleranceNotReached
+    carries the whole integral."""
+    return _read_at(f, as_bv_function(g), y, tol)
 
-    Exact on the step part plus certified quadrature on the linear part;
-    the error bound is the linear part's alone.
-    """
-    g = as_bv_function(g)
+
+def _read_at(f, g: BVFunction, y: float, tol: float) -> IntegralResult:
     _require_upper_limit(g.interval, y)
-    jump_part = rs_jump_exact(f, g.step, y)
-    if g.linear.is_constant():
-        return jump_part
-    pl_part = rs_pl_certified(f, g.linear, y, tol)
-    return IntegralResult(
-        jump_part.value + pl_part.value,
-        pl_part.error_bound,
-        jump_part.certified and pl_part.certified,
-    )
+    _, values, bounds, certified, _, _ = _cumulative(f, g, np.array([y]), tol)
+    return IntegralResult(values[-1].item(), bounds[-1].item(), certified)
 
 
 def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
@@ -208,58 +191,59 @@ class IntegralCurve:
     at_jump: np.ndarray
 
 
-def _linear_part(f, lin: PiecewiseLinear, ys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Integral of f against the continuous part lin up to each y, its
-    bound, and whether the bound is certified.
+def _cumulative(f, g: BVFunction, ys: np.ndarray, tol: float, at_jumps: bool = False):
+    """J(y) = integral of f dg at each point of a sorted array ys in (a, b],
+    and with at_jumps at every jump point of g too (curve's points).
 
-    f answers for its own cells (f.cell_integrals, the integrand protocol of
-    funcspec): exact ones with bound 0, or certified quadrature whose bound
-    at ys[-1], and so at every y, meets tol. One running sum of each column
-    is read at each y; a bound above tol raises ToleranceNotReached, which
-    carries the value and bound there. tol must be positive (NaN is not).
+    g's jumps are read once, up to ys[-1] (b with at_jumps), and f once at
+    them. One running sum of the jump terms f(p) * (g(p) - g(p-)) plus one of
+    f's cell integrals against g's linear part (f.cell_integrals, on cells
+    cut at the output points; exact with bound 0, or a certified quadrature
+    whose bound at the last point, and so at every point, meets tol) is read
+    at each point. A bound above tol raises ToleranceNotReached, carrying the
+    whole integral there; tol must be positive (NaN is not). Returns the
+    points, J, its bound, whether certified, and the jump points and terms.
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    cuts, steps, terms, certified = f.cell_integrals(lin, ys, tol)
-    at = np.searchsorted(cuts, ys)
-    values, bounds = _running_sum(steps)[at], _running_sum(terms)[at]
-    if bounds[-1] > tol:
-        raise ToleranceNotReached(f"tolerance {tol} unreachable within the refinement cap; best "
-                                  f"bound {bounds[-1].item()}", values[-1].item(), bounds[-1].item())
-    return values, bounds, certified
+    points, weights = g.jumps_in(g.interval.a, g.interval.b if at_jumps else ys[-1]).T
+    if at_jumps:
+        ys = _sorted_union(ys, points)
+    terms = integrand_values(f, points) * weights if len(points) else weights
+    values = _running_sum(terms)[np.searchsorted(points, ys, side="right")]
+    bounds, certified = np.zeros(len(ys)), True
+    if not g.linear.is_constant() and len(ys):
+        cuts, steps, bound_terms, certified = f.cell_integrals(g.linear, ys, tol)
+        at = np.searchsorted(cuts, ys)
+        values, bounds = values + _running_sum(steps)[at], _running_sum(bound_terms)[at]
+        if bounds[-1] > tol:
+            raise ToleranceNotReached(f"tolerance {tol} unreachable within the refinement cap; best "
+                                      f"bound {bounds[-1].item()}", values[-1].item(), bounds[-1].item())
+    return ys, values, bounds, certified, points, terms
 
 
 def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
     """J(y) = integral of f dg up to y, at every jump point of g and grid point.
 
-    The jump contributions accumulate in one cumulative sum, and the linear
-    part is read from one grid of cells cut at the output points and the
-    knots (_linear_part): exact for a piecewise-linear or affine f, otherwise
-    a certified quadrature whose bound, non-decreasing in y, meets tol at every
-    output point. The cost is linear in the number of jumps, output points
-    and knots (up to one sort), times the midpoints per cell.
+    The kernel (_cumulative) read at the grid and the jump points: the jump
+    terms in one running sum, the linear part on one grid of cells cut at
+    the output points and the knots, exact for a piecewise-linear or affine
+    f, otherwise a certified quadrature whose bound, non-decreasing in y,
+    meets tol at every output point. The cost is linear in the number of
+    jumps, output points and knots (up to one sort), times the midpoints per
+    cell.
     """
     g = as_bv_function(g)
-    a, b = g.interval.a, g.interval.b
     grid = np.asarray(y_grid, dtype=float)
     if np.any(~(np.diff(grid) > 0.0)):
         raise DomainError("y_grid must be strictly increasing")
-    outside = ~((grid > a) & (grid <= b))
+    outside = ~((grid > g.interval.a) & (grid <= g.interval.b))
     if outside.any():
         _require_upper_limit(g.interval, float(grid[outside][0]))
-
-    jump_ys, weights = g.jumps_in(a, b).T
-    ys = _sorted_union(grid, jump_ys)
-    at = np.searchsorted(ys, jump_ys)
+    ys, values, error_bounds, _, points, terms = _cumulative(f, g, grid, tol, at_jumps=True)
+    at = np.searchsorted(ys, points)
     at_jump = np.zeros(len(ys), dtype=bool)
     at_jump[at] = True
     jumps = np.zeros(len(ys))
-    if len(jump_ys):
-        jumps[at] = integrand_values(f, jump_ys) * weights
-    values = np.cumsum(jumps)
-    error_bounds = np.zeros(len(ys))
-    if not g.linear.is_constant() and len(ys):
-        linear, error_bounds, _ = _linear_part(f, g.linear, ys, tol)
-        values = values + linear
-
+    jumps[at] = terms
     return IntegralCurve(ys, values, error_bounds, jumps, at_jump)

@@ -95,12 +95,12 @@ def pl_times_step_reference(f: PiecewiseLinear, g: StepFunction) -> BVFunction:
 
 
 def rs_jump_exact_reference(f, step: StepFunction, y: float) -> float:
+    """The jump terms f(p) * w(p) of the list of jumps, added in order to 0.0."""
     jumps = jumps_in_reference(step, step.interval.a, y)
-    if not jumps:
-        return 0.0
-    points = np.asarray([p for p, _ in jumps])
-    weights = np.asarray([w for _, w in jumps])
-    return float(integrand_values(f, points) @ weights)
+    total = 0.0
+    for (_, w), value in zip(jumps, integrand_values(f, [p for p, _ in jumps]).tolist()):
+        total += value * w
+    return total
 
 
 def curve_jumps_reference(f, g: BVFunction, grid) -> tuple[np.ndarray, np.ndarray]:

@@ -42,20 +42,23 @@ def const_pl(value, interval=UNIT):
 
 def affine_ratio_reference(u, f, x0, x1, s):
     """integral over [x0, x1] of u(x)/f(x) dx, both affine on the piece and
-    f with the stored slope s there, by the scalar closed form the
-    vectorised cell terms replaced."""
+    f with the stored slope s there, by the scalar form of the vectorised
+    cell terms: (L / f0) * (u0 * phi1(z) + (u1 - u0) * phi2(z)) with
+    z = s * L / f0, phi1 and phi2 by Horner on their series below |z| = 0.05."""
     span = x1 - x0
     u0 = u.right_limit(x0)
     u1 = u.left_limit(x1)
-    m = (u1 - u0) / span
     f0 = f.evaluate(x0)
-    f1 = f.evaluate(x1)
-    if abs(s) * span < 1e-6 * f0:
-        u_mid = 0.5 * (u0 + u1)
-        f_mid = 0.5 * (f0 + f1)
-        return span / 6.0 * (u0 / f0 + 4.0 * u_mid / f_mid + u1 / f1)
-    log_term = math.log1p(s * span / f0)
-    return (m / s) * span + (u0 - m * f0 / s) * log_term / s
+    z = s * span / f0
+    if abs(z) < 0.05:
+        phi1 = phi2 = 0.0
+        for k in reversed(range(24)):
+            phi1 = 1.0 / (k + 1) - z * phi1
+            phi2 = 1.0 / (k + 2) - z * phi2
+    else:
+        log = math.log1p(z)
+        phi1, phi2 = log / z, (z - log) / (z * z)
+    return span / f0 * (u0 * phi1 + (u1 - u0) * phi2)
 
 
 def weighted_integrate_reference(f, u, c, d):
@@ -129,6 +132,35 @@ class TestWeightedMeasure:
         vals = u.evaluate_array(mids) * dens / f.evaluate_array(mids)
         numeric = float(vals.sum() * (xs[1] - xs[0]))
         assert got == pytest.approx(numeric, rel=1e-6)
+
+
+    def test_cell_terms_against_mpmath(self):
+        """One cell term against the integral at 40 digits, relative to the
+        cell's scale |s| * L * (|u0| + |u1|) / f0, for |z| = |s| * L / f0
+        from 1e-9 to 0.8 and f shifted by up to 10^6 in a third of the
+        cells: the closed form in log1p(z) cancels as |z| shrinks."""
+        import mpmath
+
+        rng = sampling.make_rng(4000)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for k in range(4000):
+                z = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, math.log10(0.8)))
+                span, f0 = float(rng.uniform(0.01, 2.0)), float(rng.uniform(0.2, 3.0))
+                if k % 3 == 0:
+                    f0 += float(10.0 ** rng.uniform(1.0, 6.0))
+                u0, u1 = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+                f = PiecewiseLinear(((0.0, f0), (span, f0 + z * f0)))
+                u = BVFunction.from_linear(PiecewiseLinear(((0.0, u0), (span, u1))))
+                got = WeightedMeasure(f).integrate(u, 0.0, span)
+                s = f.slopes()[0].item()
+                zm = mpmath.mpf(s) * span / f0
+                log = mpmath.log1p(zm)
+                phi1, phi2 = log / zm, (zm - log) / zm**2
+                exact = abs(mpmath.mpf(s)) * span / f0 * (u0 * phi1 + (mpmath.mpf(u1) - u0) * phi2)
+                scale = abs(s) * span * (abs(u0) + abs(u1)) / f0
+                worst = max(worst, float(abs(got - exact)) / scale)
+        assert worst <= 1e-14
 
 
 class TestCellGridAgainstReferences:
@@ -639,6 +671,15 @@ class TestPositiveInterval:
                        PiecewiseLinear(((0.0, 0.0), (1.0, 2.0))))
         with pytest.raises(InternalInconsistencyError):
             positive_interval(const_pl(1.0), g, PositivityWitness(0.1, 1.2, "scan"))
+
+    def test_sign_changing_integrand_refused(self):
+        # the stretch rule needs f > 0: with this f, J(0.625) < 0 against g(x) = x
+        f = PiecewiseLinear(((0.0, 1.0), (0.5, -1.0), (1.0, 3.0)))
+        g = BVFunction.from_linear(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))))
+        assert rs_bv(f, g, 0.625).value == -0.0625
+        with pytest.raises(PreconditionError) as err:
+            positive_interval(f, g, PositivityWitness(0.1, 0.08, "scan"))
+        assert err.value.reason == "positivity"
 
     def test_witness_at_right_end_rejected(self):
         f = const_pl(1.0)

@@ -321,6 +321,14 @@ class TestTolerance:
                 call()
 
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_rejected_on_a_pure_step_integrator(self, tol):
+        g = BVFunction.from_step(StepFunction.brick(UNIT, 0.25, 0.5))
+        for call in (lambda: rs_bv(IDENTITY, g, 1.0, tol), lambda: curve(IDENTITY, g, [0.5, 1.0], tol)):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                call()
+
+
 class TestSharpMidpointBound:
     """A midpoint sum on cells of width h is charged omega(h/4) per unit of
     |s| * length for a certified (concave) modulus."""
@@ -409,12 +417,14 @@ class TestQuadratureKernel:
                     value.hex(), bound.hex(), certified)
                 assert (rb.value.hex(), rb.error_bound.hex()) == ((jump + value).hex(), bound.hex())
             else:
-                for call in (lambda: rs_pl_certified(f, lin, y, tol), lambda: rs_bv(f, g, y, tol)):
+                # the raise carries the whole integral: rs_bv's jumps included
+                for call, whole in ((lambda: rs_pl_certified(f, lin, y, tol), value),
+                                    (lambda: rs_bv(f, g, y, tol), jump + value)):
                     with pytest.raises(ToleranceNotReached) as err:
                         call()
                     assert str(err.value) == message
                     assert (err.value.value.hex(), err.value.error_bound.hex()) == (
-                        value.hex(), bound.hex())
+                        whole.hex(), bound.hex())
             seen.add((type(modulus).__name__, on_knot, message is None))
         assert {(m, k) for m, k, _ in seen} == {
             (m, k) for m in ("Lipschitz", "Hoelder", "Sampled") for k in (True, False)}
@@ -707,6 +717,31 @@ class TestRsBv:
             r = rs_bv(f, g, y)
             floor = f.min_value(interval.a, y) * rise
             assert r.value >= floor - r.error_bound - slack(floor)
+
+
+    def test_unreachable_tolerance_carries_the_whole_integral(self):
+        # a jump of +1 at 0.5 plus a piecewise-linear part: the raise carries
+        # J(0.95) = 4.71..., the jump's 2.48 included, not the linear part alone
+        pl3 = PiecewiseLinear(((0.0, 0.0), (0.3, 0.5), (0.6, 0.2), (1.0, 1.0)))
+        g = BVFunction(StepFunction(UNIT, (0.5,), (0.0, 1.0), 1.0), pl3)
+        f = IntegrandSpec(parse("sin(x)+2"), UNIT, Lipschitz(1.0))
+        whole = rs_bv(f, g, 0.95, 1e-6)
+        for call in (lambda: rs_bv(f, g, 0.95, 1e-12), lambda: curve(f, g, [0.95], 1e-12)):
+            with pytest.raises(ToleranceNotReached) as err:
+                call()
+            gap = abs(err.value.value - whole.value)
+            assert gap <= err.value.error_bound + whole.error_bound + 1e-12
+
+    def test_jump_exact_is_the_curve_read_at_y(self):
+        rng = sampling.make_rng(2828)
+        for _ in range(200):
+            interval = sampling.random_interval(rng)
+            step = sampling.random_step(rng, interval, max_jumps=40)
+            f = sampling.random_piecewise_linear(rng, interval)
+            y = sampling.random_upper_limit(rng, interval)
+            c = curve(f, step, [y])
+            at_y = c.values[np.searchsorted(c.ys, y)].item()
+            assert rs_jump_exact(f, step, y).value.hex() == at_y.hex()
 
 
 class TestOracle:
