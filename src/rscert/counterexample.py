@@ -4,11 +4,13 @@ Given a continuous positive integrand that oscillates upward by at least
 alpha * n^-gamma along interleaved point sequences crest_n > trough_n
 decreasing to the interval's left end, a truncated sum of n^-beta-high
 half-open bricks on [trough_n, crest_n) is built, the partial integrals at
-the trough points are computed exactly, and a threshold index is certified
-past which every cumulative integral is negative. Truncation is handled
-honestly: the finitely many stored bricks are checked numerically, the
-discarded infinite tail is bounded analytically (it only pushes the
-integrals further down), and a certificate records both parts.
+the trough points are read off one running sum of the bricks' jump terms in
+increasing x (the float the integration kernel gives there, whose rounding
+is not yet bounded), and a threshold index is certified past which every
+cumulative integral is negative. Truncation is handled honestly: the
+finitely many stored bricks are checked numerically, the discarded infinite
+tail is bounded analytically (it only pushes the integrals further down),
+and a certificate records both parts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bv_core import DomainError, Interval, StepFunction, slack
+from .bv_core import DomainError, Interval, StepFunction, _running_sum, slack
 from .funcspec import (
     IntegrandSpec,
     Sampled,
@@ -92,7 +94,8 @@ class CounterexampleParams:
 @dataclass(frozen=True)
 class IndexRecords:
     """Per-index evidence in read-only columns, entry i for index n = i + 1:
-    the exact truncated partial integral at trough(n), the analytic
+    the truncated partial integral at trough(n) as the integration kernel
+    computes it (rs_jump_exact against build_bricks there), the analytic
     infinite-tail lower bound from n, the tail-corrected value (an upper bound
     for the untruncated partial integral), and whether it is certified
     negative."""
@@ -150,8 +153,11 @@ def power_sine_family(gamma: float) -> tuple[IntegrandSpec, OscillationFamily]:
     together with its natural crest/trough sequences.
 
     crest(n) = (2/pi)/(4n-3) and trough(n) = (2/pi)/(4n-1) hit sin = +1 and
-    -1 exactly, so f(crest) - f(trough) = crest^gamma + trough^gamma, which
-    is at least alpha * n^-gamma for alpha = 2*(2*pi)^-gamma.
+    -1, so f(crest) - f(trough) = crest^gamma + trough^gamma, which is at
+    least alpha * n^-gamma for alpha = 2*(2*pi)^-gamma. That holds at the
+    float points only up to their rounding: 1/x misses the exact odd
+    multiple of pi/2 by some d, and sin misses +-1 by about d^2 / 2, so the
+    family check measures the rises on the floats rather than trusting this.
     """
     if not (0.0 < gamma < 1.0):
         raise DomainError("gamma must lie in (0, 1)")
@@ -200,11 +206,10 @@ def _family_values(f: IntegrandSpec, fam: OscillationFamily,
     return integrand_values(f, troughs), integrand_values(f, crests)
 
 
-def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
-                  values: tuple[np.ndarray, np.ndarray] | None = None
+def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int
                   ) -> tuple[FamilyReport, tuple[np.ndarray, np.ndarray] | None]:
-    """validate_family, and the _family_values it read: the given ones, or
-    those it computed once the oscillation check was reached (else None)."""
+    """validate_family, and the _family_values it read once the oscillation
+    check was reached (else None)."""
     if count < 1:
         raise DomainError("count must be at least 1")
     a = fam.accumulation_point
@@ -214,7 +219,7 @@ def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
     if not crests[0] <= b:
         return FamilyReport(False, 1, "interleaving",
                             f"crest(1)={crests[0].item()!r} exceeds the domain end {b!r}",
-                            0.0), values
+                            0.0), None
     # index i checks a < trough(i + 1) < crest(i + 1), then crest(i + 2) <
     # trough(i + 1); the first index failing either reports, the first check
     # taking precedence
@@ -225,21 +230,18 @@ def _check_family(f: IntegrandSpec, fam: OscillationFamily, count: int,
         i = int(bad[0])
         if not ordered[i]:
             return FamilyReport(False, i + 1, "interleaving",
-                                f"need {a!r} < trough < crest at n={i + 1}", 0.0), values
+                                f"need {a!r} < trough < crest at n={i + 1}", 0.0), None
         return FamilyReport(False, i + 2, "interleaving",
-                            f"crest({i + 2}) does not stay below trough({i + 1})", 0.0), values
+                            f"crest({i + 2}) does not stay below trough({i + 1})", 0.0), None
 
     horizon_gap = crests[-1].item() - a
     far_gap = fam.crest(64 * count) - a
     if not far_gap <= max(horizon_gap / 4.0, slack(horizon_gap)):
         return FamilyReport(False, count, "convergence",
                             f"crest({64 * count}) - a = {far_gap!r} is not shrinking toward 0",
-                            horizon_gap), values
+                            horizon_gap), None
 
-    if values is None:
-        f_crests = integrand_values(f, crests)
-        values = (integrand_values(f, troughs), f_crests)
-    f_troughs, f_crests = values
+    values = f_troughs, f_crests = integrand_values(f, troughs), integrand_values(f, crests)
     rises = f_crests - f_troughs
     required = fam.alpha * np.arange(1, count + 1, dtype=float) ** (-fam.gamma)
     bad = np.flatnonzero(rises < required - slack(float(required[0])))
@@ -287,12 +289,12 @@ def build_bricks(fam: OscillationFamily, beta: float, truncation: int,
 
 def partial_integral(f: IntegrandSpec, fam: OscillationFamily, beta: float,
                      n: int, truncation: int) -> float:
-    """Exact truncated partial integral up to trough(n):
+    """Truncated partial integral up to trough(n):
     n^-beta * f(trough(n)) - sum_{k=n+1}^{truncation} k^-beta * (f(crest_k) - f(trough_k)).
 
-    The entry for n of the index records a certificate stores; agrees with
-    rs_jump_exact against build_bricks at y = trough(n). The discarded
-    k > truncation tail is handled separately (tail_lower_bound).
+    The entry for n of the index records a certificate stores; equals, bit
+    for bit, rs_jump_exact against build_bricks at y = trough(n). The
+    discarded k > truncation tail is handled separately (tail_lower_bound).
     """
     if not 1 <= n <= truncation:
         raise DomainError(f"index {n} outside 1..{truncation}")
@@ -340,24 +342,25 @@ def certified_threshold(f_sup: float, alpha: float, beta: float, gamma: float,
 
 
 def _index_records(fam: OscillationFamily, beta: float, truncation: int,
-                   values: tuple[np.ndarray, np.ndarray]) -> tuple[IndexRecords, float]:
-    """Per-index evidence via one vectorized pass (suffix sums over the
-    bricks), from the _family_values up to the truncation."""
-    remainder = tail_lower_bound(fam.alpha, beta, fam.gamma, truncation)
+                   values: tuple[np.ndarray, np.ndarray]) -> tuple[IndexRecords, np.ndarray]:
+    """Per-index evidence from the _family_values up to the truncation, and
+    the running sum it reads the partial integrals off: the jump terms of
+    build_bricks(fam, beta, truncation) in increasing x, h_N * f(trough(N)),
+    -h_N * f(crest(N)), ..., h_1 * f(trough(1)), -h_1 * f(crest(1)), added
+    in that order from 0.0, as the kernel (stieltjes._cumulative) adds them."""
     ns = np.arange(1, truncation + 1)
     f_troughs, f_crests = values
-    rises = f_crests - f_troughs
     heights = np.float_power(ns, -beta)  # build_bricks' heights, bit for bit
-    # suffix[i] = sum of weighted[i+1:], the truncated tail past index i+1
-    suffix = np.concatenate([np.cumsum((heights * rises)[::-1])[::-1], [0.0]])[1:]
-    partials = heights * f_troughs - suffix
+    sweep = _running_sum(np.column_stack([heights * f_troughs, -heights * f_crests])[::-1].ravel())
+    # J at trough(1), ..., trough(N), copied so the records do not hold the sweep
+    partials = sweep[-2::-2].copy()
     decay = beta + fam.gamma - 1.0
     tails = fam.alpha / decay * np.float_power(ns + 2, -decay)  # tail_lower_bound at every n
-    corrected = partials - remainder
+    corrected = partials - tails[-1]
     columns = (ns, partials, tails, corrected, _negative(corrected))
     for col in columns:
         col.flags.writeable = False
-    return IndexRecords(*columns), remainder
+    return IndexRecords(*columns), sweep
 
 
 def _empirical_threshold(records: IndexRecords) -> int | None:
@@ -407,7 +410,7 @@ def build_counterexample(
             f"oscillation family invalid at n={report.violation_index} "
             f"({report.violation_kind}): {report.detail}"
         )
-    records, remainder = _index_records(fam, beta, truncation, values)
+    records, sweep = _index_records(fam, beta, truncation, values)
     threshold = _empirical_threshold(records)
     if threshold is None:
         raise ThresholdNotFound(
@@ -426,24 +429,12 @@ def build_counterexample(
         chosen = threshold
     g = build_bricks(fam, beta, truncation, interval=f.interval, first=chosen)
     params = CounterexampleParams(beta=beta, truncation=truncation, threshold=chosen)
-    cert = _certify(fam, params, f_sup, records, remainder, report.ok,
-                    _brick_steps(g, values, chosen))
+    # curve(f, g, [b]): the sweep through crest(chosen), the last jump of g,
+    # read at each breakpoint and at b (where crest(chosen) may have folded)
+    ys = np.append(g.breakpoints, g.interval.b)
+    steps = np.append(sweep[1:ys.size], sweep[2 * (truncation - chosen + 1)])
+    cert = _certify(fam, params, f_sup, records, report.ok, (ys, steps))
     return g, params, cert
-
-
-def _brick_steps(g: StepFunction, values: tuple[np.ndarray, np.ndarray],
-                 first: int) -> tuple[np.ndarray, np.ndarray]:
-    """curve(f, g, [b])'s ys and values for the bricks g of build_bricks(...,
-    first), read off the _family_values instead of evaluating f again: the
-    jump points are trough(N), crest(N), ..., trough(first), crest(first),
-    each f value times its jump, summed in that order, then b."""
-    f_troughs, f_crests = values
-    b = g.interval.b
-    points, weights = g.jumps_in(g.interval.a, b).T
-    jumps = np.column_stack([f_troughs[first - 1:], f_crests[first - 1:]])[::-1].ravel() * weights
-    if points[-1] < b:  # b itself carries no jump: J keeps its last value there
-        points, jumps = np.append(points, b), np.append(jumps, 0.0)
-    return points, np.cumsum(jumps)
 
 
 def certify_negative(
@@ -463,19 +454,21 @@ def certify_negative(
     reported with its location. f_sup is the caller's upper bound for f,
     as in build_counterexample.
     """
-    values = _family_values(f, fam, params.truncation)
-    records, remainder = _index_records(fam, params.beta, params.truncation, values)
-    family_ok = _check_family(f, fam, params.truncation, values)[0].ok
+    report, values = _check_family(f, fam, params.truncation)
+    if values is None:
+        values = _family_values(f, fam, params.truncation)
+    records, _ = _index_records(fam, params.beta, params.truncation, values)
     j = curve(f, g, [g.interval.b])
-    return _certify(fam, params, f_sup, records, remainder, family_ok, (j.ys, j.values))
+    return _certify(fam, params, f_sup, records, report.ok, (j.ys, j.values))
 
 
 def _certify(fam: OscillationFamily, params: CounterexampleParams, f_sup: float,
-             records: IndexRecords, remainder: float, family_ok: bool,
+             records: IndexRecords, family_ok: bool,
              steps: tuple[np.ndarray, np.ndarray]) -> Certificate:
     """certify_negative on index records, a family check and the step values
     (ys, J(ys)) of the cumulative integral, all already computed."""
     N = params.truncation
+    remainder = records.tail_lower_bound[-1].item()
     ys, values = steps
     corrected = values - remainder
     failed = ~_negative(corrected)

@@ -235,6 +235,8 @@ def curve(f, g, y_grid, tol: float = DEFAULT_TOL) -> IntegralCurve:
     """
     g = as_bv_function(g)
     grid = np.asarray(y_grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError(f"y_grid must be one-dimensional, got shape {grid.shape}")
     if np.any(~(np.diff(grid) > 0.0)):
         raise DomainError("y_grid must be strictly increasing")
     outside = ~((grid > g.interval.a) & (grid <= g.interval.b))

@@ -22,7 +22,6 @@ from rscert.counterexample import (
     tail_lower_bound,
     validate_family,
     POWER_SINE_UPPER_BOUND,
-    _brick_steps,
     _empirical_threshold,
     _family_values,
     _index_records,
@@ -467,25 +466,49 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
+def seeded_case(seed):
+    """A seeded (gamma, beta, truncation), the power-sine family of gamma,
+    and the index records and running sum from its family values."""
+    rng = np.random.default_rng([seed, 21])
+    gamma, beta = float(rng.uniform(0.2, 0.8)), float(rng.uniform(1.2, 2.6))
+    truncation = int(rng.integers(100, 6000))
+    f, fam = power_sine_family(gamma)
+    records, sweep = _index_records(fam, beta, truncation, _family_values(f, fam, truncation))
+    return rng, beta, truncation, f, fam, records, sweep
+
+
+def assert_sweep_prefix_is_curve(f, g, sweep, first, truncation):
+    """The running sum through crest(first), the last jump of the bricks
+    g = build_bricks(..., first), read at each breakpoint and then at b, is
+    curve(f, g, [b]) bit for bit: the step values build_counterexample
+    certifies."""
+    b = g.interval.b
+    j = curve(f, g, [b])
+    count = 2 * (truncation - first + 1)
+    assert same_bits(j.ys, np.append(g.breakpoints, b))
+    assert same_bits(j.values[j.at_jump], sweep[1:count + 1])
+    assert same_bits(j.values[-1:], sweep[count:count + 1])
+
+
 class TestBrickSteps:
-    """build_counterexample reads the step values off the family values it
-    already holds; they equal curve(f, g, [b]) bit for bit."""
+    """build_counterexample reads the step values off the running sum behind
+    its index records; they equal curve(f, g, [b]) bit for bit."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equal_curve_bit_for_bit(self, seed):
-        rng = np.random.default_rng([seed, 21])
-        gamma, beta = float(rng.uniform(0.2, 0.8)), float(rng.uniform(1.2, 2.6))
-        truncation = int(rng.integers(100, 6000))
-        f, fam = power_sine_family(gamma)
-        values = _family_values(f, fam, truncation)
-        empirical = _empirical_threshold(_index_records(fam, beta, truncation, values)[0])
-        low = empirical or 1
+        rng, beta, truncation, f, fam, records, sweep = seeded_case(seed)
+        low = _empirical_threshold(records) or 1
         forced = int(rng.integers(low + 1, truncation + 1)) if low < truncation else low
         for first in (low, forced):
             g = build_bricks(fam, beta, truncation, interval=f.interval, first=first)
-            ys, steps = _brick_steps(g, values, first)
-            j = curve(f, g, [g.interval.b])
-            assert same_bits(ys, j.ys) and same_bits(steps, j.values)
+            assert_sweep_prefix_is_curve(f, g, sweep, first, truncation)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partials_are_rs_jump_exact_at_every_trough(self, seed):
+        _, beta, truncation, f, fam, records, _ = seeded_case(seed)
+        g = build_bricks(fam, beta, truncation, interval=f.interval)
+        exact = [rs_jump_exact(f, g, fam.trough(n)).value for n in range(1, truncation + 1)]
+        assert same_bits(records.partial_integral, np.array(exact))
 
     @pytest.mark.parametrize("forced", [None, 40])
     def test_certificate_equals_certify_negative(self, family, forced):
@@ -505,12 +528,10 @@ class TestBrickSteps:
         crests = np.append(0.0, 1.0 / (2.0 * n[1:] - 1.0))
         fam = table_family(troughs, crests)
         f = IntegrandSpec(parse("x^2+2"), UNIT, Lipschitz(2.0))
-        values = _family_values(f, fam, count)
+        _, sweep = _index_records(fam, BETA, count, _family_values(f, fam, count))
         g = build_bricks(fam, BETA, count, interval=UNIT, first=1)
         assert g.breakpoints[-1] < UNIT.b
-        ys, steps = _brick_steps(g, values, 1)
-        j = curve(f, g, [UNIT.b])
-        assert same_bits(ys, j.ys) and same_bits(steps, j.values)
+        assert_sweep_prefix_is_curve(f, g, sweep, 1, count)
 
 
 class TestBuildCounterexample:
@@ -550,21 +571,32 @@ class TestBuildCounterexample:
         ]
 
     def test_partials_are_computed_from_the_integrator_heights(self):
-        # the certificate's partial integrals, recomputed by suffix sums from
-        # the brick heights the built integrator holds, bit for bit; at
-        # beta = 1.8 numpy's vector ** misses Python's pow in the last bit
+        # the certificate's partial integrals, recomputed from the brick
+        # heights the built integrator holds as the jump terms in increasing
+        # x, h_N f(trough N), -h_N f(crest N), ..., added one by one from 0.0,
+        # bit for bit; at beta = 1.8 numpy's vector ** misses Python's pow in
+        # the last bit
         gamma, beta, horizon = 0.4, 1.8, 4000
         f, fam = power_sine_family(gamma)
         g, params, cert = build_counterexample(f, fam, beta, horizon, f_sup=POWER_SINE_UPPER_BOUND)
-        ns = np.arange(1, horizon + 1)
-        kept = ns >= params.threshold
-        troughs = f.evaluate_array(fam.trough(ns))[kept]
-        crests = f.evaluate_array(fam.crest(ns))[kept]
-        heights = g.piece_values[1::2][::-1]  # n0 .. horizon
-        assert len(heights) == kept.sum()
-        suffix = np.append(np.cumsum((heights * (crests - troughs))[::-1])[::-1][1:], 0.0)
-        partials = cert.records.partial_integral[kept]
-        assert partials.tolist() == (heights * troughs - suffix).tolist()
+        ns = np.arange(horizon, params.threshold - 1, -1)  # horizon .. n0, increasing x
+        heights = g.piece_values[1::2]
+        assert len(heights) == len(ns)
+        troughs = f.evaluate_array(fam.trough(ns))
+        crests = f.evaluate_array(fam.crest(ns))
+        terms = np.column_stack([heights * troughs, -heights * crests]).ravel().tolist()
+        running, total = [], 0.0
+        for term in terms:
+            total += term
+            running.append(total)
+        partials = cert.records.partial_integral[ns - 1]
+        assert partials.tolist() == running[::2]
+        # a priori: an in-order sum of k terms is within about (k - 1) * 2^-53
+        # * sum |terms| of the exact sum, and math.fsum is correctly rounded
+        for n in np.unique(np.linspace(params.threshold, horizon, 50).astype(int)).tolist():
+            head = terms[:2 * (horizon - n) + 1]
+            bound = 2 * horizon * 2.0**-53 * math.fsum(map(abs, head))
+            assert abs(cert.records.partial_integral[n - 1] - math.fsum(head)) <= bound
 
     @pytest.mark.parametrize("negative, threshold", [
         ([True, True, True], 1),

@@ -885,10 +885,12 @@ class TestCurve:
                     bound + direct.error_bound + slack(direct.value)
                 )
 
-    def test_grid_must_increase(self):
+    @pytest.mark.parametrize("grid", [[0.5, 0.5], 0.5, [[0.25, 0.75]]],
+                             ids=["repeated", "scalar", "two-dimensional"])
+    def test_grid_must_increase(self, grid):
         g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
         with pytest.raises(DomainError):
-            curve(IDENTITY, g, [0.5, 0.5])
+            curve(IDENTITY, g, grid)
 
 
 class CellsOnly:
