@@ -348,6 +348,8 @@ def _index_records(fam: OscillationFamily, beta: float, truncation: int,
     build_bricks(fam, beta, truncation) in increasing x, h_N * f(trough(N)),
     -h_N * f(crest(N)), ..., h_1 * f(trough(1)), -h_1 * f(crest(1)), added
     in that order from 0.0, as the kernel (stieltjes._cumulative) adds them."""
+    # first, so that beta <= 1 raises DomainError before decay below is 0 or negative
+    remainder = tail_lower_bound(fam.alpha, beta, fam.gamma, truncation)
     ns = np.arange(1, truncation + 1)
     f_troughs, f_crests = values
     heights = np.float_power(ns, -beta)  # build_bricks' heights, bit for bit
@@ -356,7 +358,7 @@ def _index_records(fam: OscillationFamily, beta: float, truncation: int,
     partials = sweep[-2::-2].copy()
     decay = beta + fam.gamma - 1.0
     tails = fam.alpha / decay * np.float_power(ns + 2, -decay)  # tail_lower_bound at every n
-    corrected = partials - tails[-1]
+    corrected = partials - remainder
     columns = (ns, partials, tails, corrected, _negative(corrected))
     for col in columns:
         col.flags.writeable = False

@@ -131,6 +131,14 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError):
             integrator_from_doc({"type": "mystery"})
 
+    def test_counterexample_beta_at_most_one(self, tmp_path, capsys):
+        doc = {"type": "counterexample", "gamma": 0.5, "beta": 0.5, "truncation": 1000}
+        with pytest.raises(SpecFileError, match="need beta > 1"):
+            integrator_from_doc(doc)
+        path = write_doc(tmp_path, doc)
+        assert main(["integrate", "--f", "2", "--g", path, "--y", "0.5"]) == EXIT_PARSE
+        assert "need beta > 1, gamma in (0,1), alpha > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["truncation", "threshold"])
     def test_boolean_is_not_a_count(self, tmp_path, capsys, field):
         doc = {"type": "counterexample", "gamma": 0.5, "beta": 1.5, "truncation": 1000}
@@ -282,6 +290,12 @@ class TestCounterexampleCommand:
     def test_bad_gamma_exits_2(self):
         assert main(["counterexample", "--gamma", "1.5", "--beta", "1.5",
                      "--N", "10"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("beta", ["0.5", "0.9"])
+    def test_beta_at_most_one_exits_2(self, capsys, beta):
+        assert main(["counterexample", "--gamma", "0.5", "--beta", beta,
+                     "--N", "1000"]) == EXIT_PARSE
+        assert "need beta > 1, gamma in (0,1), alpha > 0" in capsys.readouterr().err
 
 
 WRITER_DOCS = [

@@ -535,6 +535,15 @@ class TestBrickSteps:
 
 
 class TestBuildCounterexample:
+    # beta = 0.5 makes beta + gamma - 1 zero, beta = 0.9 a negative tail bound
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 1.0, 0.0, -1.0])
+    def test_beta_at_most_one_rejected(self, family, beta):
+        f, fam = family
+        with pytest.raises(DomainError, match="need beta > 1"):
+            build_counterexample(f, fam, beta, N, f_sup=POWER_SINE_UPPER_BOUND)
+        with pytest.raises(DomainError, match="need beta > 1"):
+            partial_integral(f, fam, beta, 7, N)
+
     def test_thresholds_and_verdict(self, built):
         g, params, cert = built
         assert cert.empirical_threshold == 6  # frozen minimal corrected threshold
