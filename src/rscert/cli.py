@@ -115,6 +115,15 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _need_array(doc: dict, key: str, path: str, size: int | None = None) -> list:
+    """doc[key], which must be a JSON array, of exactly size entries when
+    size is given."""
+    value = _need(doc, key, path)
+    if isinstance(value, list) and size in (None, len(value)):
+        return value
+    raise SpecFileError("expected an array" + (f" of {size} entries" if size else ""), f"{path}.{key}")
+
+
 def _as_numbers(values, path_of) -> list[float]:
     """Every element as a float. path_of(i) gives the JSON path of element i;
     it is called only for the first element that is not a number."""
@@ -135,17 +144,16 @@ def integrator_from_doc(doc, path: str = "$") -> BVFunction:
     kind = _need(doc, "type", path)
     try:
         if kind == "step":
-            a, b = _need(doc, "interval", path)
-            interval = Interval(_as_number(a, path + ".interval[0]"),
-                                _as_number(b, path + ".interval[1]"))
-            bp = _as_numbers(_need(doc, "breakpoints", path),
+            interval = Interval(*_as_numbers(_need_array(doc, "interval", path, 2),
+                                             lambda i: f"{path}.interval[{i}]"))
+            bp = _as_numbers(_need_array(doc, "breakpoints", path),
                              lambda i: f"{path}.breakpoints[{i}]")
-            pv = _as_numbers(_need(doc, "piece_values", path),
+            pv = _as_numbers(_need_array(doc, "piece_values", path),
                              lambda i: f"{path}.piece_values[{i}]")
             end = _as_number(_need(doc, "end_value", path), path + ".end_value")
             return BVFunction.from_step(StepFunction(interval, bp, pv, end))
         if kind == "piecewise_linear":
-            knots = _need(doc, "knots", path)
+            knots = _need_array(doc, "knots", path)
             for i, pair in enumerate(knots):
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                     raise SpecFileError("knot must be an [x, y] pair", f"{path}.knots[{i}]")
@@ -153,7 +161,7 @@ def integrator_from_doc(doc, path: str = "$") -> BVFunction:
                                lambda i: f"{path}.knots[{i // 2}][{i % 2}]")
             return BVFunction.from_linear(PiecewiseLinear(list(zip(flat[0::2], flat[1::2]))))
         if kind == "sum":
-            parts = _need(doc, "parts", path)
+            parts = _need_array(doc, "parts", path)
             if not parts:
                 raise SpecFileError("sum needs at least one part", path + ".parts")
             total = None

@@ -199,10 +199,10 @@ def validate_family(f: IntegrandSpec, fam: OscillationFamily, count: int) -> Fam
     return _check_family(f, fam, count)[0]
 
 
-def _family_values(f: IntegrandSpec, fam: OscillationFamily,
-                   count: int) -> tuple[np.ndarray, np.ndarray]:
-    """f at trough(n) and at crest(n) for n = 1..count."""
-    troughs, crests = _family_points(fam, np.arange(1, count + 1))
+def _family_values(f: IntegrandSpec, fam: OscillationFamily, count: int,
+                   first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """f at trough(n) and at crest(n) for n = first..count."""
+    troughs, crests = _family_points(fam, np.arange(first, count + 1))
     return integrand_values(f, troughs), integrand_values(f, crests)
 
 
@@ -294,12 +294,15 @@ def partial_integral(f: IntegrandSpec, fam: OscillationFamily, beta: float,
 
     The entry for n of the index records a certificate stores; equals, bit
     for bit, rs_jump_exact against build_bricks at y = trough(n). The
-    discarded k > truncation tail is handled separately (tail_lower_bound).
+    running sum reaches trough(n) through the jump terms of bricks
+    n..truncation alone, so f is read at their 2 * (truncation - n + 1)
+    points only. The discarded k > truncation tail is handled separately
+    (tail_lower_bound).
     """
     if not 1 <= n <= truncation:
         raise DomainError(f"index {n} outside 1..{truncation}")
-    records, _ = _index_records(fam, beta, truncation, _family_values(f, fam, truncation))
-    return float(records.partial_integral[n - 1])
+    records, _ = _index_records(fam, beta, truncation, _family_values(f, fam, truncation, n), n)
+    return records.partial_integral[0].item()
 
 
 def tail_lower_bound(alpha: float, beta: float, gamma: float, n: int) -> float:
@@ -342,19 +345,23 @@ def certified_threshold(f_sup: float, alpha: float, beta: float, gamma: float,
 
 
 def _index_records(fam: OscillationFamily, beta: float, truncation: int,
-                   values: tuple[np.ndarray, np.ndarray]) -> tuple[IndexRecords, np.ndarray]:
-    """Per-index evidence from the _family_values up to the truncation, and
-    the running sum it reads the partial integrals off: the jump terms of
-    build_bricks(fam, beta, truncation) in increasing x, h_N * f(trough(N)),
-    -h_N * f(crest(N)), ..., h_1 * f(trough(1)), -h_1 * f(crest(1)), added
-    in that order from 0.0, as the kernel (stieltjes._cumulative) adds them."""
-    # first, so that beta <= 1 raises DomainError before decay below is 0 or negative
+                   values: tuple[np.ndarray, np.ndarray],
+                   first: int = 1) -> tuple[IndexRecords, np.ndarray]:
+    """Per-index evidence for n = first..truncation (entry i for index
+    first + i) from the _family_values there, and the running sum it reads
+    the partial integrals off: the jump terms of build_bricks(fam, beta,
+    truncation, first=first) in increasing x, h_N * f(trough(N)),
+    -h_N * f(crest(N)), ..., h_first * f(trough(first)),
+    -h_first * f(crest(first)), added in that order from 0.0, as the kernel
+    (stieltjes._cumulative) adds them. J at trough(n) is a prefix of that
+    sum, so it does not depend on first."""
+    # called first: beta <= 1 raises DomainError here, before decay below is 0 or negative
     remainder = tail_lower_bound(fam.alpha, beta, fam.gamma, truncation)
-    ns = np.arange(1, truncation + 1)
+    ns = np.arange(first, truncation + 1)
     f_troughs, f_crests = values
     heights = np.float_power(ns, -beta)  # build_bricks' heights, bit for bit
     sweep = _running_sum(np.column_stack([heights * f_troughs, -heights * f_crests])[::-1].ravel())
-    # J at trough(1), ..., trough(N), copied so the records do not hold the sweep
+    # J at trough(first), ..., trough(N), copied so the records do not hold the sweep
     partials = sweep[-2::-2].copy()
     decay = beta + fam.gamma - 1.0
     tails = fam.alpha / decay * np.float_power(ns + 2, -decay)  # tail_lower_bound at every n

@@ -8,8 +8,9 @@ integrand. Two public detectors (g jumps off zero; g has only moved upward
 so far) state the named cases on their own. Every statement about f is read
 off its exact piecewise-linear form (pl_form).
 The measure-theoretic side is a per-instance verifier: the |integral of
-g df| bound, the variation measure of a piecewise-linear f reweighted by
-1/f (WeightedMeasure), and a discrete Groenwall checker that exhibits, on
+g df| bound, whose two sides are reads of the stieltjes kernel, the
+variation measure of a piecewise-linear f reweighted by 1/f
+(WeightedMeasure), and a discrete Groenwall checker that exhibits, on
 concrete data, why "never positive" would force the integrator to vanish.
 All three integrate over one cell grid (bv_core._cell_read), cut at a,
 the structural points of the integrated function, the knots of f and the
@@ -37,7 +38,7 @@ from .bv_core import (
     jordan_decompose,
     slack,
 )
-from .stieltjes import IntegralCurve, _pl_integrator_terms, curve
+from .stieltjes import IntegralCurve, curve, rs_pl_certified
 
 __all__ = [
     "PreconditionError",
@@ -266,21 +267,23 @@ def detect_case2(f, g, y: float) -> PositivityWitness | None:
 
 
 def gdf_bound_check(f, g, y: float) -> tuple[float, float]:
-    """Both sides of |int_a^y g df| <= int_[a,y) f*g dmu, computed exactly.
+    """Both sides of |int_a^y g df| <= int_[a,y) f*g dmu, each the kernel
+    read at y (rs_pl_certified).
 
     With mu the variation measure of f weighted by 1/f, the right side
-    collapses to the integral of g against |slope of f| dx. Both sides are
-    read off the same cell terms of int g df (rs_pl_integrator_exact): the
-    left side sums them, the right side sums their absolute values. f is read
-    through its exact piecewise-linear form, which must be certifiably
-    positive, and g must be non-negative.
+    collapses to the integral of g against f's variation function V_f, the
+    piecewise-linear function through f's knots with slope |slope of f|.
+    f is read through its exact piecewise-linear form, which must be
+    certifiably positive; g must be non-negative and live on f's interval.
     """
     g = as_bv_function(g)
     f = _positive_form(f)
     if not _structurally_nonnegative(g):
         raise PreconditionError("g must be non-negative", reason="sign")
-    terms = _pl_integrator_terms(g, f, y)
-    return abs(math.fsum(terms.tolist())), math.fsum(np.abs(terms).tolist())
+    if f.interval != g.interval:
+        raise DomainError("integrand and integrator must share one interval")
+    variation = PiecewiseLinear(np.column_stack((f.xs, _running_sum(np.abs(np.diff(f.ys))))))
+    return abs(rs_pl_certified(g, f, y).value), rs_pl_certified(g, variation, y).value
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ answers (cell_integrals, the integrand protocol of funcspec): exactly for a
 piecewise-linear or affine integrand, otherwise by funcspec's certified
 midpoint quadrature. Both sums are added before tol is checked, so
 ToleranceNotReached carries the whole integral. rs_jump_exact,
-rs_pl_certified and rs_bv read the kernel at one y and curve at many; a
-definitional Riemann-Stieltjes sum is an independent cross-check oracle.
+rs_pl_certified and rs_bv read the kernel at one y and curve at many;
+integration_by_parts_residual reads it at y both ways round (int f dg and
+int g df), and positivity's |int g df| bound reads it with f and with f's
+variation function as the integrator. A definitional Riemann-Stieltjes sum
+is an independent cross-check oracle; the counterexample's index records
+add the kernel's jump terms in its order, so they are its J bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "rs_pl_certified",
     "rs_bv",
     "rs_bruteforce_oracle",
-    "rs_pl_integrator_exact",
     "integration_by_parts_residual",
     "curve",
 ]
@@ -133,37 +136,24 @@ def rs_bruteforce_oracle(f, g, y: float, mesh: float) -> IntegralResult:
     return IntegralResult(value, bound, not f.heuristic)
 
 
-def rs_pl_integrator_exact(values_of, f: PiecewiseLinear, y: float) -> IntegralResult:
-    """Integral of a BV-representable integrand against a PL integrator:
-    its exact cell integrals summed with math.fsum, with bound 0."""
-    return IntegralResult(math.fsum(_pl_integrator_terms(values_of, f, y).tolist()), 0.0, True)
-
-
-def _pl_integrator_terms(values_of, f: PiecewiseLinear, y: float) -> np.ndarray:
-    """The integral of values_of df over each cell of [a, y]
-    (BVFunction.cell_integrals)."""
-    values_of = as_bv_function(values_of)
-    _require_upper_limit(f.interval, y)
-    if values_of.interval != f.interval:
-        raise DomainError("integrand and integrator must share one interval")
-    return values_of.cell_integrals(f, np.array([y]), DEFAULT_TOL)[1]
-
-
 def integration_by_parts_residual(f, g, y: float, tol: float = DEFAULT_TOL) -> float:
     """|int f dg + int g df - (f(y)g(y) - f(a)g(a))| for a continuous BV f.
 
     f is read through its exact piecewise-linear form (pl_form), and an
-    integrand without one raises DomainError. Both integrals are computed by
-    this module (the second side exactly); the residual is bounded by the
-    combined error bounds plus numeric slack.
+    integrand without one raises DomainError, as do f and g on different
+    intervals. Both integrals are the kernel read at y, int f dg with g as
+    the integrator and int g df (rs_pl_certified) with f_pl as the
+    integrator; the residual is bounded by the combined error bounds plus
+    numeric slack.
     """
     f_pl = f.pl_form()
     if f_pl is None:
         raise DomainError("integration by parts needs an exact piecewise-linear integrand")
     g = as_bv_function(g)
-    _require_upper_limit(g.interval, y)
+    if f_pl.interval != g.interval:
+        raise DomainError("integrand and integrator must share one interval")
     f_dg = rs_bv(f_pl, g, y, tol)
-    g_df = rs_pl_integrator_exact(g, f_pl, y)
+    g_df = rs_pl_certified(g, f_pl, y)
     a = g.interval.a
     boundary = f_pl.evaluate(y) * g.evaluate(y) - f_pl.evaluate(a) * g.evaluate(a)
     return abs(f_dg.value + g_df.value - boundary)

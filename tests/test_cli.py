@@ -131,6 +131,24 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError):
             integrator_from_doc({"type": "mystery"})
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"type": "piecewise_linear", "knots": 5}, "$.knots"),
+        (dict(BRICK_DOC, breakpoints=5), "$.breakpoints"),
+        (dict(BRICK_DOC, piece_values=5), "$.piece_values"),
+        ({"type": "sum", "parts": 5}, "$.parts"),
+        ({"type": "sum", "parts": {"a": 1}}, "$.parts"),
+        (dict(BRICK_DOC, interval=5), "$.interval"),
+        (dict(BRICK_DOC, interval=[0]), "$.interval"),
+        (dict(BRICK_DOC, interval=[0, 1, 2]), "$.interval"),
+        ({"type": "sum", "parts": [dict(BRICK_DOC, interval=[0])]}, "$.parts[0].interval"),
+    ])
+    def test_fields_that_are_not_arrays_exit_parse(self, tmp_path, capsys, doc, path):
+        with pytest.raises(SpecFileError) as err:
+            integrator_from_doc(doc)
+        assert err.value.path == path
+        assert main(["integrate", "--f", "x+1", "--g", write_doc(tmp_path, doc), "--y", "0.5"]) == EXIT_PARSE
+        assert f"{path}: expected an array" in capsys.readouterr().err
+
     def test_counterexample_beta_at_most_one(self, tmp_path, capsys):
         doc = {"type": "counterexample", "gamma": 0.5, "beta": 0.5, "truncation": 1000}
         with pytest.raises(SpecFileError, match="need beta > 1"):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rscert.bv_core import DomainError, Interval
-from rscert.funcspec import IntegrandSpec, Lipschitz, parse
+from rscert import counterexample
+from rscert.funcspec import IntegrandSpec, Lipschitz, integrand_values, parse
 from rscert.stieltjes import curve, rs_jump_exact
 from rscert.counterexample import (
     CounterexampleParams,
@@ -354,6 +355,27 @@ class TestPartialIntegral:
         assert partial_integral(f, fam, BETA, 7, N) == pytest.approx(
             -0.007574680224503916, rel=1e-10
         )
+
+    def test_equals_the_index_records_bit_for_bit(self, family):
+        f, fam = family
+        records, _ = _index_records(fam, BETA, N, _family_values(f, fam, N))
+        rng = np.random.default_rng(29)
+        for n in [1, 2, N - 1, N] + rng.integers(1, N + 1, size=40).tolist():
+            assert partial_integral(f, fam, BETA, n, N) == records.partial_integral[n - 1]
+
+    def test_reads_f_at_bricks_n_to_truncation_only(self, family, monkeypatch):
+        f, fam = family
+        counts = []
+
+        def counting(spec, xs):
+            counts.append(len(xs))
+            return integrand_values(spec, xs)
+
+        monkeypatch.setattr(counterexample, "integrand_values", counting)
+        for n in (1, 7, 500, N):
+            counts.clear()
+            partial_integral(f, fam, BETA, n, N)
+            assert sum(counts) == 2 * (N - n + 1)
 
     def test_index_validation(self, family):
         f, fam = family

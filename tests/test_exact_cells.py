@@ -4,9 +4,10 @@ A piecewise-linear f against a piecewise-linear, step or mixed g, all with
 dyadic knots and values, so that adding 2^k to g (k up to 40) is exact. The
 oracle sums the same terms in fractions.Fraction: f(p) times each jump of g,
 and slope * (x1 - x0) * (u(x0+) + u(x1-)) / 2 over each cell where both are
-affine. rs_bv, curve and rs_pl_integrator_exact must land within
-16 * (n + 1) * 2^-53 * sum|terms| of it, and a constant added to g must not
-move int f dg by a single bit.
+affine. The kernel's reads, rs_bv and curve for int f dg and
+rs_pl_certified both ways round (int g df against f, and int f dg against a
+piecewise-linear g), must land within 16 * (n + 1) * 2^-53 * sum|terms| of
+it, and a constant added to g must not move int f dg by a single bit.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 
 from rscert.bv_core import BVFunction, Interval, PiecewiseLinear, StepFunction
 from rscert.cli import main
-from rscert.stieltjes import curve, rs_bv, rs_pl_integrator_exact
+from rscert.stieltjes import curve, rs_bv, rs_pl_certified
 
 UNIT = Interval(0.0, 1.0)
 SHIFTS = [2.0**k for k in range(41)]
@@ -128,11 +129,11 @@ def test_exact_paths_against_rationals_and_shifts(kind, seed):
             assert_close(value, terms)
             assert_close(read, terms)
             # int g df: its value moves with the shift, its accuracy must not
-            assert_close(rs_pl_integrator_exact(g, f, y).value, exact_terms(g_exact, f_exact, y))
+            assert_close(rs_pl_certified(g, f, y).value, exact_terms(g_exact, f_exact, y))
         outputs = f_dg + on_curve
         if kind == "pl":
             for y in ys:
-                outputs.append(rs_pl_integrator_exact(f, g, y).value)
+                outputs.append(rs_pl_certified(f, g, y).value)
                 assert_close(outputs[-1], exact_terms(f_exact, g_exact, y))
         if unshifted is None:
             unshifted = outputs

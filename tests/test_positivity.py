@@ -8,6 +8,7 @@ import pytest
 
 from rscert.bv_core import (
     BVFunction,
+    DomainError,
     Interval,
     PiecewiseLinear,
     StepFunction,
@@ -31,7 +32,7 @@ from rscert.positivity import (
     positive_interval,
     support_edge,
 )
-from rscert import sampling, stieltjes
+from rscert import bv_core, sampling, stieltjes
 
 UNIT = Interval(0.0, 1.0)
 
@@ -393,6 +394,38 @@ class TestGdfBound:
         g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
         with pytest.raises(PreconditionError):
             gdf_bound_check(f, g, 1.0)
+
+    def test_rejects_f_and_g_on_different_intervals(self):
+        f = PiecewiseLinear(((0.0, 1.0), (2.0, 3.0)))
+        g = BVFunction.from_step(StepFunction.brick(UNIT, 0.25, 1.0))
+        with pytest.raises(DomainError):
+            gdf_bound_check(f, g, 0.5)
+
+    def test_negated_cell_terms_break_the_bound(self, monkeypatch):
+        # the two sides are separate kernel reads, so wrong signs in the
+        # exact cell terms show; |sum t| <= sum |t| over one set of terms t
+        # holds whatever t is
+        exact = bv_core._exact_cells
+
+        def negated(*cells):
+            cuts, steps, bound_terms, certified = exact(*cells)
+            return cuts, -steps, bound_terms, certified
+
+        rng = sampling.make_rng(707)  # criterion 7's instances
+        checked = 0
+        for _ in range(500):
+            interval = sampling.random_interval(rng)
+            f = sampling.random_piecewise_linear(rng, interval, low=0.2, high=3.0)
+            g = BVFunction.from_step(sampling.random_nonnegative_step(rng, interval))
+            y = sampling.random_upper_limit(rng, interval)
+            _, rhs = gdf_bound_check(f, g, y)
+            with monkeypatch.context() as m:
+                m.setattr(bv_core, "_exact_cells", negated)
+                lhs_bad, rhs_bad = gdf_bound_check(f, g, y)
+            if rhs > slack(rhs):
+                checked += 1
+                assert lhs_bad > rhs_bad + slack(lhs_bad, rhs_bad)
+        assert checked >= 300
 
 
 class TestGronwall:

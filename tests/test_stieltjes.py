@@ -36,7 +36,6 @@ from rscert.stieltjes import (
     rs_bv,
     rs_jump_exact,
     rs_pl_certified,
-    rs_pl_integrator_exact,
 )
 from rscert.counterexample import build_bricks, power_sine_family
 from rscert import funcspec, sampling, stieltjes
@@ -799,7 +798,7 @@ class TestIntegrationByParts:
 
     def test_exact_swapped_integral_worked_example(self):
         g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
-        r = rs_pl_integrator_exact(g, IDENTITY, 0.75)
+        r = rs_pl_certified(g, IDENTITY, 0.75)
         assert r.value == pytest.approx(0.25)  # int_0.5^0.75 of 1 dx
         assert r.error_bound == 0.0
 
@@ -819,6 +818,12 @@ class TestIntegrationByParts:
         g = BVFunction.from_step(StepFunction.brick(UNIT, 0.5, 1.0))
         with pytest.raises(DomainError):
             integration_by_parts_residual(f, g, 0.75)
+
+    def test_rejects_f_and_g_on_different_intervals(self):
+        f = PiecewiseLinear(((0.0, 1.0), (2.0, 3.0)))
+        g = BVFunction.from_step(StepFunction.brick(UNIT, 0.25, 1.0))
+        with pytest.raises(DomainError):
+            integration_by_parts_residual(f, g, 0.5)
 
     def test_reads_the_integrands_exact_form(self):
         # an affine spec and a BVFunction whose step part does not jump are
